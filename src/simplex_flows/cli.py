@@ -63,6 +63,9 @@ _KEY_TYPES = {
     "directions": int, "s_max": float, "s_count": int, "alpha": float,
     "kind": str, "n_seeds": int,
 }
+_HELP = {"dt": "interval of the time grid the samples are taken on, and the "
+               "first trial step; accuracy comes from the adaptive "
+               "integrator's tolerances, not from dt"}
 
 
 def load_config(path) -> RunConfig:
@@ -351,18 +354,9 @@ def _build_parser():
         sp.add_argument("--config")
         for flag in flags:
             key = flag.replace("-", "_")
-            sp.add_argument(f"--{flag}", dest=key, type=_ARG_TYPES.get(key, str))
+            sp.add_argument(f"--{flag}", dest=key, type=_KEY_TYPES[key],
+                            help=_HELP.get(key))
         return sp
-
-    _ARG_TYPES = {
-        "n": int, "seed": int, "inits": int, "tol": float, "mode": str,
-        "method": str, "grid": _parse_grid, "t_end": float, "dt": float,
-        "sample_every": int, "n_samples": int, "minibatch": int,
-        "decay_a": float, "max_iters": int, "c_values": _parse_floats,
-        "budget": int, "box": float, "directions": int, "s_max": float,
-        "s_count": int, "alpha": float, "kind": str, "n_seeds": int,
-        "out": str,
-    }
 
     add("sandwich", "n", "seed", "inits", "t-end", "dt", "sample-every", "out")
     add("affine", "n", "seed", "c-values", "dt", "out")

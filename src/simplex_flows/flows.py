@@ -2,13 +2,13 @@
 
 Each flow is an ODE x'(t) = -grad L(x) in one of the coordinate charts
 (mixture eta, exponential theta, their Fisher-preconditioned "natural"
-versions, or an affine rechart).  Integration is classical fixed-step RK4
-on an outer time grid; inside each outer step the integrator takes as many
-equal substeps as a cheap curvature bound demands, because the mixture
-chart's Hessian blows up like 1/eta_min^2 near the boundary and a single
-global step size would either be wastefully small or unstable for
-initializations drawn near a face.  The outer sampling grid is unchanged
-by substepping, so recorded times line up across flows.
+versions, or an affine rechart).  Integration is adaptive Dormand-Prince
+5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.6).  The step size follows the embedded error
+estimate, so the mixture chart's curvature, which grows like 1/eta_min^2 near
+a face, costs small steps only where it is large; a step that leaves the
+chart's valid set is retried smaller.  Samples on the fixed grid k*dt come
+from the dense output, so recorded times line up across flows.
 
 The natural flow of L_q has the closed-form solution
 eta(t) = eta_q + exp(-t) (eta_0 - eta_q), exposed as natural_flow_exact
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import EtaCoord, SimplexPoint, ThetaCoord, to_eta, to_theta
+from .coords import EtaCoord, SimplexPoint, to_eta, to_theta
 from .errors import BoundaryEscape
 from .geometry import AffineChart
 
@@ -28,9 +28,10 @@ CHARTS = ("eta", "theta", "natural_eta", "natural_theta",
           "affine_eta", "affine_theta")
 LOSSES = ("Lq", "Lstar")
 
-# substep count is ceil(dt * curvature_bound / this); RK4's real-axis
-# stability limit is ~2.78, the margin absorbs slack in the bounds
-STIFFNESS_MARGIN = 1.5
+# step-size control: error tolerances per state entry, and the bounds on
+# how far one step may shrink or grow the next
+RTOL, ATOL = 1e-10, 1e-12
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _softmax_probs(theta_rows):
 
 
 class _Engine:
-    """rhs / curvature bound / conversions for one (loss, chart) pair."""
+    """rhs / validity / conversions for one (loss, chart) pair."""
 
     def __init__(self, loss, chart, target, affine=None):
         self.loss = loss
@@ -111,13 +112,7 @@ class _Engine:
         self.affine = affine
         self.q = target.probs
         self.eta_q = target.probs[:-1]
-        self.rest_q = target.probs[-1]
         self.theta_q = to_theta(target).theta
-        self.n = target.n
-        if affine is not None:
-            self.a_norm2 = np.linalg.norm(affine.a_matrix, 2) ** 2
-            self.a_inv_norm2 = np.linalg.norm(affine.a_inv, 2) ** 2
-        self._eta_like = chart in ("eta", "natural_eta", "affine_eta")
 
     # conversions ----------------------------------------------------------
 
@@ -146,12 +141,12 @@ class _Engine:
         return np.hstack([e, 1.0 - e.sum(axis=1, keepdims=True)])
 
     def valid(self, y):
-        if not np.all(np.isfinite(y)):
-            return False
+        """Per row: finite, and inside the simplex for the eta-side charts."""
+        ok = np.isfinite(y).all(axis=1)
         if self.chart in ("theta", "natural_theta", "affine_theta"):
-            return True
+            return ok
         e = self._eta_rows(y)
-        return bool(np.all(e > 0.0) and np.all(e.sum(axis=1) < 1.0))
+        return ok & (e > 0.0).all(axis=1) & (e.sum(axis=1) < 1.0)
 
     def kl_to_target(self, y):
         p = self.probs(y)
@@ -215,97 +210,102 @@ class _Engine:
         w = e * v - e * (e * v).sum(axis=1, keepdims=True)
         return w @ self.affine.a_matrix
 
-    def curvature_bound(self, y):
-        """Cheap upper bound on the Jacobian norm of the rhs, for substepping."""
-        if self.chart == "natural_theta" and self.loss == "Lstar":
-            return 1.0
-        if self.chart == "natural_eta" and self.loss == "Lq":
-            return 1.0
-        e = self._eta_rows(y)
-        rest = 1.0 - e.sum(axis=1)
-        if self.loss == "Lq":
-            if self.chart == "theta":
-                return 1.0
-            if self.chart == "affine_theta":
-                return self.a_norm2
-            # mixture-side charts share the hess_Lq_eta bound
-            base = float((self.eta_q / e ** 2).max()
-                         + (self.rest_q * self.n / rest ** 2).max())
-            if self.chart == "affine_eta":
-                return base * self.a_inv_norm2
-            return base
-        # Lstar
-        if self.chart in ("eta", "affine_eta"):
-            base = float((1.0 / e).max() + (self.n / rest).max())
-            if self.chart == "affine_eta":
-                return base * self.a_inv_norm2
-            return base
-        # theta-side charts: hess_psi is below identity, third-derivative
-        # correction grows with the distance to the target
-        rest_col = rest[:, None]
-        th = np.log(e) - np.log(rest_col)
-        v = np.abs(self.theta_q - th).sum(axis=1)
-        base = 1.0 + 2.0 * float(v.max())
-        if self.chart == "affine_theta":
-            return base * self.a_norm2
-        if self.chart == "natural_eta":
-            return base * float((1.0 / e).max() + (self.n / rest).max())
-        return base
 
-
-def _rk4_advance(rhs, y, h, substeps):
-    for _ in range(substeps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+# Dormand-Prince 5(4).  Row s of _A weighs the earlier stages for stage s;
+# row 6 is the 5th-order solution, so stage 7 is the next step's stage 1
+# (FSAL).  _E: 5th minus embedded 4th-order weights.  _P: Shampine's free
+# 4th-order dense output y(t + s h) = y + h sum_i k_i (_P[i] @ [s..s^4]).
+_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]])
+_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
 def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
-                    sample_every=10, affine=None, max_substeps=100000):
+                    sample_every=10, affine=None):
     """Integrate one flow from many initializations at once.
 
     init_probs is a (B, n+1) array of probability rows.  Returns
-    (times, states, kls) with shapes (K,), (K, B, n), (K, B).
+    (times, states, kls) with shapes (K,), (K, B, n), (K, B).  The samples
+    sit at k*dt for every k divisible by sample_every, plus t_end; dt also
+    sets the first trial step.  All rows share one adaptive step size.
     """
     eng = _Engine(loss, chart, target, affine)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
     y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
-    if not eng.valid(y):
+    if not eng.valid(y).all():
         raise BoundaryEscape("initial state is not in the chart's valid set")
-    n_steps = max(1, int(round(t_end / dt)))
-    times, states, kls = [0.0], [y.copy()], [eng.kl_to_target(y)]
-    for k in range(1, n_steps + 1):
-        bound = eng.curvature_bound(y)
-        m = min(max(1, int(np.ceil(dt * bound / STIFFNESS_MARGIN))), max_substeps)
-        while True:
-            y_next = _rk4_advance(eng.rhs, y, dt / m, m)
-            if eng.valid(y_next):
-                break
-            m *= 10
-            if m > max_substeps:
-                raise BoundaryEscape(
-                    f"state left the valid set at t={k * dt:g} "
-                    f"(step size too large)")
-        y = y_next
-        if k % sample_every == 0 or k == n_steps:
-            times.append(k * dt)
-            states.append(y.copy())
-            kls.append(eng.kl_to_target(y))
-    return np.array(times), np.array(states), np.array(kls)
+    grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
+    times = np.append(grid[grid < t_end - 1e-9 * dt], t_end)
+    states = np.empty((times.size,) + y.shape)
+    kls = np.empty(times.shape + y.shape[:1])
+    states[0], kls[0] = y, eng.kl_to_target(y)
+    k = np.empty((7,) + y.shape)
+    k[0] = eng.rhs(y)
+    t, h, j, grow = 0.0, dt, 1, MAX_FACTOR
+    while j < times.size:
+        last = h >= t_end - t
+        h = t_end - t if last else h
+        with np.errstate(all="ignore"):  # trial stages may leave the chart
+            for s in range(1, 7):
+                y_new = y + h * np.tensordot(_A[s, :s], k[:s], axes=1)
+                k[s] = eng.rhs(y_new)
+            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            row_err = np.sqrt(np.mean(
+                (h * np.tensordot(_E, k, axes=1) / scale) ** 2, axis=1))
+            err = float(np.sqrt(np.mean(row_err ** 2)))
+            valid = eng.valid(y_new)
+        if err <= 1.0 and valid.all():
+            t_new = t_end if last else t + h
+            m = j + int(np.searchsorted(times[j:], t_new, side="right"))
+            if m > j:  # dense output at the samples inside this step
+                s = np.power.outer((times[j:m] - t) / h, np.arange(1, 5))
+                states[j:m] = y + np.tensordot(h * _P @ s.T, k, axes=(0, 0))
+                kls[j:m] = eng.kl_to_target(
+                    states[j:m].reshape(-1, y.shape[1])).reshape(m - j, -1)
+            y, t, j, k[0] = y_new, t_new, m, k[6]
+            h *= min(grow, SAFETY * err ** -0.2) if err > 0 else grow
+            grow = MAX_FACTOR
+            continue
+        # rejected: shrink (no growth on the next accepted step either)
+        h *= max(MIN_FACTOR, min(1.0, SAFETY * err ** -0.2)) \
+            if 1.0 < err < np.inf else MIN_FACTOR
+        grow = 1.0
+        if h < 10.0 * np.spacing(t_end):
+            bad = np.flatnonzero(~(row_err <= 1.0) | ~valid).tolist()
+            raise BoundaryEscape(
+                f"{loss}/{chart}: step size underflow at t={t:.9g} "
+                f"(h={h:.3g}); failing batch rows {bad}")
+    return times, states, kls
 
 
 def integrate(spec: FlowSpec, t_end: float, dt: float = 1e-3,
-              sample_every: int = 10, max_substeps: int = 100000) -> Trajectory:
+              sample_every: int = 10) -> Trajectory:
     """Integrate a single flow; thin wrapper over the batched integrator."""
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
     times, states, kls = integrate_batch(
         spec.loss, spec.chart, spec.target, spec.init.probs[None, :],
-        t_end, dt=dt, sample_every=sample_every, affine=spec.affine,
-        max_substeps=max_substeps)
+        t_end, dt=dt, sample_every=sample_every, affine=spec.affine)
     return Trajectory(times, states[:, 0, :], kls[:, 0])
 
 

@@ -306,7 +306,9 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
         if t_end is not None:
             t_chart, dt_chart = t_end, dt
         else:
-            # run the max-KL init down to ~20x the fit floor
+            # run the max-KL init down to ~20x the fit floor; at most 20,000
+            # grid intervals, which bounds the samples kept and their memory
+            # (the n=10 theta horizon is ~1,500 time units)
             t_chart = np.log(kl0_max / (20.0 * KL_FLOOR)) / rate_est[chart]
             dt_chart = max(dt, t_chart / 20000.0)
         times, states, kls = integrate_batch("Lq", chart, q, inits, t_chart,
@@ -403,7 +405,7 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
                                      ("affine_theta", 2.0 / c)):
             # run down to ~20x the fit floor so the tail window is asymptotic
             t_end = np.log(kl0 / (20.0 * KL_FLOOR)) / expected
-            dt_chart = max(dt, t_end / 20000.0)
+            dt_chart = max(dt, t_end / 20000.0)  # <= 20,000 grid intervals
             times, _states, kls = integrate_batch(
                 "Lq", chart_kind, q, p_near.probs[None, :], t_end,
                 dt=dt_chart, sample_every=sample_every, affine=chart)

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
+from simplex_flows import flows
 from simplex_flows.coords import SimplexPoint, to_eta
 from simplex_flows.errors import BoundaryEscape
 from simplex_flows.flows import (FlowSpec, Trajectory, integrate,
                                  integrate_batch, natural_flow_exact)
 from simplex_flows.geometry import make_identity_chart
+from simplex_flows.lab import draw_instance, sandwich_experiment
 from simplex_flows.coords import to_theta
 from simplex_flows.rng import make_rng, random_simplex_point
 
@@ -69,19 +73,35 @@ def test_lstar_flows_decrease_kl():
         assert np.all(np.diff(traj.kl_values) <= 1e-12)
 
 
-def test_step_halving_reduces_integration_error():
-    # RK4 is fourth order: halving dt should shrink the error by far more
-    # than the factor 2 a first-order method would give
+@pytest.mark.parametrize("dt", [0.2, 0.1, 1e-3])
+def test_accuracy_does_not_depend_on_dt(dt):
+    # dt only sets the sample grid and the first trial step; the adaptive
+    # step keeps the path on the closed form at every sample
     q, p0 = _pair(6, 2)
     spec = FlowSpec("Lq", "natural_eta", q, p0)
-    exact = natural_flow_exact(to_eta(q), to_eta(p0), 1.0).eta
+    traj = integrate(spec, 1.0, dt=dt, sample_every=1)
+    eq, e0 = to_eta(q), to_eta(p0)
+    for t, state in zip(traj.times, traj.states):
+        exact = natural_flow_exact(eq, e0, float(t)).eta
+        assert np.abs(state - exact).max() < 1e-9
 
-    def err(dt):
-        traj = integrate(spec, 1.0, dt=dt, sample_every=10 ** 6)
-        return np.abs(traj.states[-1] - exact).max()
 
-    e_coarse, e_fine = err(0.2), err(0.1)
-    assert e_fine < e_coarse / 8.0
+def test_last_sample_is_exactly_t_end():
+    q, p0 = _pair(6, 2)
+    spec = FlowSpec("Lq", "eta", q, p0)
+    traj = integrate(spec, 1.0, dt=0.3, sample_every=1)
+    assert traj.times[:-1] == pytest.approx([0.0, 0.3, 0.6, 0.9])
+    assert traj.times[-1] == 1.0
+    # n*dt equal to t_end up to rounding gives no duplicate end point
+    traj = integrate(spec, 1.0, dt=0.1, sample_every=1)
+    assert traj.times.size == 11 and traj.times[-1] == 1.0
+    assert np.all(np.diff(traj.times) > 0)
+
+
+def test_sandwich_trajectories_end_at_horizons():
+    summary = sandwich_experiment(2, 3, seed=1)
+    for chart, (times, _states, _kls) in summary["_trajectories"].items():
+        assert times[-1] == summary["horizons"][chart]
 
 
 def test_flows_in_different_charts_agree_on_the_path():
@@ -119,21 +139,86 @@ def test_integrate_batch_shapes_and_consistency():
     # batch row b equals a solo integration from init b
     solo = integrate(FlowSpec("Lq", "eta", q, SimplexPoint(inits[2])), 0.5,
                      dt=1e-3, sample_every=100)
-    assert np.abs(states[:, 2, :] - solo.states).max() < 1e-12
+    # the batch shares one step size, so the row follows other steps than
+    # the solo run; both are accurate to the tolerances (RTOL = 1e-10)
+    assert np.abs(states[:, 2, :] - solo.states).max() < 1e-9
 
 
-def test_boundary_escape_when_substeps_capped():
-    # a stiff mixture-chart flow from near the boundary needs substeps; with
-    # the cap at 1 the big step leaves the simplex and must raise
+def test_large_first_step_near_face_is_rejected_not_fatal():
+    # a stiff mixture-chart flow from near the boundary: a first trial step
+    # of 0.5 leaves the simplex, is rejected and retried smaller
     q = SimplexPoint(np.array([0.98, 0.01, 0.01]))
     p0 = SimplexPoint(np.array([0.001, 0.499, 0.5]))
-    with pytest.raises(BoundaryEscape):
-        integrate_batch("Lq", "eta", q, p0.probs[None, :], 1.0, dt=0.5,
-                        max_substeps=1)
+    times, states, kls = integrate_batch("Lq", "eta", q, p0.probs[None, :],
+                                         4.0, dt=0.5, sample_every=1)
+    assert times[-1] == 4.0
+    assert kls[-1, 0] < 1e-8
+
+
+def test_boundary_escape_on_step_size_underflow(monkeypatch):
+    # an rhs that turns NaN partway makes every later step fail, so the
+    # step shrinks until it underflows; the error names where it stopped
+    rhs = flows._Engine.rhs
+    calls = []
+
+    def failing_rhs(self, y):
+        calls.append(1)
+        out = rhs(self, y)
+        return out if len(calls) < 50 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(flows._Engine, "rhs", failing_rhs)
+    q, p0 = _pair(11, 2)
+    inits = np.array([p0.probs, q.probs])
+    with pytest.raises(BoundaryEscape) as exc:
+        integrate_batch("Lq", "theta", q, inits, 2.0, dt=1e-3)
+    msg = str(exc.value)
+    assert "Lq/theta" in msg and "h=" in msg and "rows [0, 1]" in msg
+    assert 0.0 < float(re.search(r"t=(\S+)", msg).group(1)) < 2.0
+
+
+def _oracle_cases(seed=0):
+    """The 12 (loss, chart) pairs from a random start and a start near a
+    face (min prob 0.01), with a c = 2 affine chart."""
+    rng = make_rng(seed)
+    q = draw_instance(rng, 2)
+    random_start = random_simplex_point(rng, 2)
+    face = random_simplex_point(rng, 2).probs.copy()
+    k = int(np.argmin(face))
+    face *= 0.99 / (face.sum() - face[k])
+    face[k] = 0.01
+    chart = make_identity_chart(to_theta(q), 2.0)
+    for loss in flows.LOSSES:
+        for name in flows.CHARTS:
+            affine = chart if name.startswith("affine") else None
+            for start, p0 in (("random", random_start),
+                              ("near_face", SimplexPoint(face))):
+                yield pytest.param(FlowSpec(loss, name, q, p0, affine),
+                                   id=f"{loss}-{name}-{start}")
+
+
+@pytest.mark.parametrize("spec", _oracle_cases())
+def test_paths_match_high_order_oracle(spec):
+    integrate_ivp = pytest.importorskip("scipy.integrate")
+    traj = integrate(spec, 2.0, dt=1e-3, sample_every=1)
+    eng = flows._Engine(spec.loss, spec.chart, spec.target, spec.affine)
+    ref = integrate_ivp.solve_ivp(
+        lambda t, y: eng.rhs(y[None, :])[0], (0.0, 2.0),
+        eng.init_state(spec.init), method="DOP853", rtol=1e-13, atol=1e-15,
+        t_eval=traj.times)
+    assert ref.success
+    assert np.abs(ref.y.T - traj.states).max() < 1e-8
+
+
+def test_dense_output_coefficients_match_scipy():
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
+    assert np.array_equal(flows._P, rk.RK45.P)
+    assert np.array_equal(flows._A[:6, :5], rk.RK45.A)
+    assert np.array_equal(flows._A[6], rk.RK45.B)
+    assert np.array_equal(flows._E, -rk.RK45.E)
 
 
 def test_substepping_keeps_stiff_flow_stable():
-    # same setup, default substep budget: integrates cleanly to the optimum
+    # same setup, small first step: integrates cleanly to the optimum
     q = SimplexPoint(np.array([0.98, 0.01, 0.01]))
     p0 = SimplexPoint(np.array([0.001, 0.499, 0.5]))
     times, states, kls = integrate_batch("Lq", "eta", q, p0.probs[None, :],

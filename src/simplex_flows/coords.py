@@ -120,12 +120,24 @@ def simplex_from_eta(e: EtaCoord) -> SimplexPoint:
     return SimplexPoint(np.append(e.eta, 1.0 - e.eta.sum()))
 
 
+def softmax_rows(theta_rows: np.ndarray) -> np.ndarray:
+    """Probability rows (B, n+1) of exponential-coordinate rows (B, n).
+
+    A softmax over (theta, 0), shifted by m = max(0, max theta) so every
+    exponential is at most 1 and the denominator at least 1: rows stay
+    finite for any finite theta (underflowing entries become 0).
+    """
+    m = theta_rows.max(axis=1, keepdims=True, initial=0.0)
+    p = np.empty((theta_rows.shape[0], theta_rows.shape[1] + 1))
+    np.subtract(theta_rows, m, out=p[:, :-1])
+    np.negative(m, out=p[:, -1:])
+    np.exp(p, out=p)
+    p /= p[:, :-1].sum(axis=1, keepdims=True) + p[:, -1:]
+    return p
+
+
 def simplex_from_theta(t: ThetaCoord) -> SimplexPoint:
-    """Softmax over (theta, 0), shifted so the exponentials cannot overflow."""
-    th = t.theta
-    m = max(0.0, th.max())
-    w = np.exp(np.append(th, 0.0) - m)
-    return SimplexPoint(w / w.sum())
+    return SimplexPoint(softmax_rows(t.theta[None, :])[0])
 
 
 def eta_from_theta(t: ThetaCoord) -> EtaCoord:

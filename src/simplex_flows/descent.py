@@ -1,15 +1,22 @@
 """Discrete-time gradient and natural-gradient descent on the KL loss L_q.
 
-Three methods:
+Three methods, each stepping toward a target q with mixture coordinates
+eta_q at step size alpha:
 
-    gd_eta   plain gradient descent in mixture coordinates (iterates eta)
-    gd_theta plain gradient descent in exponential coordinates (iterates theta)
-    ngd      natural gradient descent: the gradient is preconditioned by the
-             inverse Fisher matrix.  The nonlinear variant iterates theta (a
-             Newton-like update that does not land on the optimum in one
-             step); the linearized variant reduces to the scalar recursion
-             e(k+1) = (1 - alpha) e(k), which is affine invariant and
-             converges in exactly one step at alpha = 1.
+    gd_eta   plain gradient descent in mixture coordinates (iterates eta):
+             eta <- eta + alpha hess_phi(eta) (eta_q - eta)
+    gd_theta plain gradient descent in exponential coordinates (iterates
+             theta): theta <- theta - alpha (eta(theta) - eta_q)
+    ngd      natural gradient descent.  The inverse Fisher metric turns the
+             gradient in eta into the coordinate difference, so ngd iterates
+             eta <- eta - alpha (eta - eta_q): a mixture of the iterate and
+             the target, affine invariant, landing on q in one step at
+             alpha = 1.  Its nonlinear and linearized variants coincide up
+             to rounding.
+
+One batched kernel, step_rows, updates (B, n) rows of states; run, the
+minibatch descent in the empirical module and the learning-rate sweeps in
+the lab module all call it (a single run is a batch of one).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
@@ -23,11 +30,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
-                     simplex_from_eta, simplex_from_theta, to_eta, to_theta)
+from .coords import (EtaCoord, SimplexPoint, ThetaCoord, softmax_rows, to_eta,
+                     to_theta)
 from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
-from .geometry import SymMatrix, hess_phi, hess_phi_matvec, hess_psi, kl
+from .geometry import SymMatrix, hess_phi, hess_psi, kl_rows
 from .rng import make_rng, normal_vector
 from .spectral import eigh
 
@@ -63,6 +70,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class DescentSpec:
+    """One descent run: method ("gd_eta", "gd_theta" or "ngd", where ngd is
+    the mixture update eta <- eta - alpha (eta - eta_q) in either variant),
+    variant ("nonlinear" or "linearized" about the target), target and
+    initial points, step size alpha, noise (linearized only) and the
+    iteration cap."""
+
     method: str
     variant: str
     target: SimplexPoint
@@ -86,12 +99,55 @@ class DescentSpec:
             raise ValueError("noise models apply to the linearized variant only")
 
 
-def state_coord(spec: DescentSpec, p: SimplexPoint):
-    """The coordinate object a given method iterates on."""
-    if spec.method == "gd_eta" or (spec.method == "ngd"
-                                   and spec.variant == "linearized"):
-        return to_eta(p)
-    return to_theta(p)
+def _eta_state(method: str) -> bool:
+    """Whether a method iterates mixture coordinates (gd_eta and ngd) rather
+    than exponential ones (gd_theta); the same for both variants."""
+    return method != "gd_theta"
+
+
+def state_rows(method: str, probs: np.ndarray) -> np.ndarray:
+    """The (B, n) states a method iterates, from (B, n+1) probability rows."""
+    if _eta_state(method):
+        return probs[:, :-1].copy()
+    return np.log(probs[:, :-1]) - np.log(probs[:, -1:])
+
+
+def probs_rows(method: str, x: np.ndarray) -> np.ndarray:
+    """The (B, n+1) probability rows of (B, n) states of a method."""
+    if _eta_state(method):
+        return np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)])
+    return softmax_rows(x)
+
+
+def valid_rows(method: str, x: np.ndarray) -> np.ndarray:
+    """Per row: finite, and inside the simplex for mixture states."""
+    ok = np.isfinite(x).all(axis=1)
+    if _eta_state(method):
+        ok &= (x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0)
+    return ok
+
+
+def check_rows(method: str, x: np.ndarray) -> None:
+    """Raise BoundaryEscape (a mixture state left the simplex) or NonFinite
+    (an exponential state overflowed) unless every row is valid."""
+    if valid_rows(method, x).all():
+        return
+    if _eta_state(method):
+        raise BoundaryEscape("iterate left the simplex; reduce the step size")
+    raise NonFinite("iterate overflowed; reduce the step size")
+
+
+def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
+              alpha: float) -> np.ndarray:
+    """One nonlinear update of every (B, n) state row toward the mixture
+    point target_eta ((n,) or one per row), with step size alpha."""
+    if method == "gd_eta":  # x + alpha hess_phi(x) (target - x)
+        v = target_eta - x
+        rest = 1.0 - x.sum(axis=1, keepdims=True)
+        return x + alpha * (v / x + v.sum(axis=1, keepdims=True) / rest)
+    if method == "gd_theta":  # theta - alpha (eta(theta) - target)
+        return x - alpha * (softmax_rows(x)[:, :-1] - target_eta)
+    return x - alpha * (x - target_eta)  # ngd: eta - alpha (eta - target)
 
 
 def _curvature_at_optimum(spec: DescentSpec) -> np.ndarray:
@@ -117,67 +173,18 @@ def _error_update(spec: DescentSpec, e: np.ndarray, k: int, q_mat: np.ndarray,
     return e_next
 
 
-def _nonlinear_update(spec: DescentSpec, x: np.ndarray, eta_q: np.ndarray,
-                      ) -> np.ndarray:
-    a = spec.learning_rate
-    if spec.method == "gd_eta":
-        e = EtaCoord(x)
-        return x + a * hess_phi_matvec(e, eta_q - x)
-    if spec.method == "gd_theta":
-        eta = eta_from_theta(ThetaCoord(x)).eta
-        return x - a * (eta - eta_q)
-    # ngd in exponential coordinates: inverse-Fisher preconditioned gradient
-    e = eta_from_theta(ThetaCoord(x))
-    return x - a * hess_phi_matvec(e, e.eta - eta_q)
-
-
 def step(spec: DescentSpec, state, k: int = 0, rng=None):
-    """One descent update; state type must match state_coord(spec, ...)."""
-    eta_q = spec.target.probs[:-1]
+    """One descent update of an EtaCoord (gd_eta, ngd) or ThetaCoord
+    (gd_theta) state; returns the same coordinate type."""
+    x = state.eta if isinstance(state, EtaCoord) else state.theta
     if spec.variant == "nonlinear":
-        if spec.noise.kind != "none":
-            raise ValueError("noise models apply to the linearized variant only")
-        x = step_array(spec, _coord_array(spec, state), k)
-        return _coord_from_array(spec, x)
-    q_mat = _curvature_at_optimum(spec)
-    x_star = (eta_q if isinstance(state, EtaCoord)
-              else to_theta(spec.target).theta)
-    x = _coord_array(spec, state)
-    e = _error_update(spec, x - x_star, k, q_mat, rng)
-    return _coord_from_array(spec, x_star + e)
-
-
-def step_array(spec: DescentSpec, x: np.ndarray, k: int = 0) -> np.ndarray:
-    """Nonlinear update on the raw coordinate array (no validation)."""
-    return _nonlinear_update(spec, x, spec.target.probs[:-1])
-
-
-def _coord_array(spec, state):
-    if isinstance(state, EtaCoord):
-        return state.eta.copy()
-    if isinstance(state, ThetaCoord):
-        return state.theta.copy()
-    return np.asarray(state, dtype=float)
-
-
-def _coord_from_array(spec, x):
-    if spec.method == "gd_eta" or (spec.method == "ngd"
-                                   and spec.variant == "linearized"):
-        return EtaCoord(x)
-    return ThetaCoord(x)
-
-
-def _state_probs(spec, x):
-    if spec.method == "gd_eta" or (spec.method == "ngd"
-                                   and spec.variant == "linearized"):
-        return np.append(x, 1.0 - x.sum())
-    m = max(0.0, x.max())
-    w = np.exp(np.append(x, 0.0) - m)
-    return w / w.sum()
-
-
-def _eta_state_valid(x):
-    return np.all(np.isfinite(x)) and np.all(x > 0) and x.sum() < 1.0
+        x = step_rows(spec.method, x[None, :], spec.target.probs[:-1],
+                      spec.learning_rate)[0]
+    else:
+        x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
+        x = x_star + _error_update(spec, x - x_star, k,
+                                   _curvature_at_optimum(spec), rng)
+    return EtaCoord(x) if _eta_state(spec.method) else ThetaCoord(x)
 
 
 def run(spec: DescentSpec, tol: Optional[float] = None,
@@ -189,32 +196,22 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
     exponential states raise NonFinite.  Noisy runs record NaN for the KL
     whenever the state has no interior representation.
     """
-    eta_q = spec.target.probs[:-1]
-    theta_q = to_theta(spec.target).theta
+    method, q = spec.method, spec.target.probs
     noisy = spec.noise.kind != "none"
-    rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
-    eta_like = spec.method == "gd_eta" or (spec.method == "ngd"
-                                           and spec.variant == "linearized")
-    x = _coord_array(spec, state_coord(spec, spec.init))
+    x = state_rows(method, spec.init.probs[None, :])
     if spec.variant == "linearized":
-        x_star = eta_q if eta_like else theta_q
+        x_star = state_rows(method, q[None, :])
         q_mat = _curvature_at_optimum(spec)
-        e = x - x_star
-    q_log_q = float(np.dot(spec.target.probs, np.log(spec.target.probs)))
+        rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
+        e = x[0] - x_star[0]
 
     def kl_of(xv):
-        if eta_like and not _eta_state_valid(xv):
-            if noisy:
-                return np.nan
-            raise BoundaryEscape("iterate left the simplex; reduce the step size")
-        if not np.all(np.isfinite(xv)):
-            if noisy:
-                return np.nan
-            raise NonFinite("iterate overflowed; reduce the step size")
-        p = _state_probs(spec, xv)
-        return q_log_q - float(np.dot(spec.target.probs, np.log(p)))
+        if noisy and not valid_rows(method, xv)[0]:
+            return np.nan
+        check_rows(method, xv)
+        return kl_rows(q, probs_rows(method, xv))[0] if record_kl else np.nan
 
-    states, kls = [x.copy()], [kl_of(x) if record_kl else np.nan]
+    states, kls = [x[0]], [kl_of(x)]
     for k in range(spec.max_iters):
         if record_kl and tol is not None and kls[-1] <= tol:
             break
@@ -222,13 +219,9 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
             e = _error_update(spec, e, k, q_mat, rng)
             x = x_star + e
         else:
-            x = _nonlinear_update(spec, x, eta_q)
-            if eta_like and not _eta_state_valid(x):
-                raise BoundaryEscape("iterate left the simplex; reduce the step size")
-            if not np.all(np.isfinite(x)):
-                raise NonFinite("iterate overflowed; reduce the step size")
-        states.append(x.copy())
-        kls.append(kl_of(x) if record_kl else np.nan)
+            x = step_rows(method, x, q[:-1], spec.learning_rate)
+        states.append(x[0])
+        kls.append(kl_of(x))
     return Trajectory(np.arange(len(states), dtype=float),
                       np.array(states), np.array(kls))
 

@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import descent
-from .coords import EtaCoord, SimplexPoint, ThetaCoord, to_theta
-from .errors import BoundaryEscape, NonFinite, ZeroCount
+from .coords import SimplexPoint
+from .errors import ZeroCount
 from .flows import Trajectory
-from .geometry import hess_phi_matvec, kl
+from .geometry import kl, kl_rows
 from .rng import make_rng
 
 
@@ -102,7 +102,8 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
     """Descend the empirical loss of a dataset.
 
     Full batch (minibatch=None) delegates to descent.run against q_hat --
-    the exact same code path, hence bit-identical states.  With a minibatch
+    the exact same code path, hence bit-identical states; a minibatch of
+    the whole dataset takes the same steps bit for bit.  With a minibatch
     size, each iteration draws that many samples uniformly from the dataset
     and uses their empirical distribution in the gradient, stepping with
     the schedule (or the spec's constant rate).  The returned trajectory
@@ -114,66 +115,40 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
         if schedule is not None:
             raise ValueError("schedules apply to minibatch runs only")
         traj = descent.run(spec, tol=tol)
-        gaps = traj.kl_values
-        if true_target is None:
-            kls = gaps
-        else:
-            kls = np.array([kl(true_target, SimplexPoint(
-                descent._state_probs(spec, x))) for x in traj.states])
-        return Trajectory(traj.times, traj.states, kls, loss_gaps=gaps)
-    if spec.variant != "nonlinear":
-        raise ValueError("minibatch descent uses the nonlinear updates")
-    if not 1 <= minibatch <= d.total:
-        raise ValueError("minibatch size must be between 1 and the dataset size")
-    return _run_minibatch(spec, d, minibatch, schedule, true_target, seed, tol)
+        states, gaps = traj.states, traj.kl_values
+    else:
+        if spec.variant != "nonlinear":
+            raise ValueError("minibatch descent uses the nonlinear updates")
+        if not 1 <= minibatch <= d.total:
+            raise ValueError("minibatch size must be between 1 and the dataset size")
+        states, gaps = _run_minibatch(spec, d, minibatch, schedule, seed, tol)
+    if true_target is None:
+        kls = gaps
+    else:
+        kls = [kl(true_target, SimplexPoint(p))
+               for p in descent.probs_rows(spec.method, states)]
+    return Trajectory(np.arange(len(states), dtype=float), states, kls,
+                      loss_gaps=gaps)
 
 
-def _run_minibatch(spec, d, size, schedule, true_target, seed, tol):
+def _run_minibatch(spec, d, size, schedule, seed, tol):
+    """States and loss gaps of minibatch descent; step k moves toward the
+    empirical distribution of `size` samples drawn without replacement."""
     rng = make_rng(seed)
     q_hat = d.counts / d.total
-    eta_like = spec.method in ("gd_eta", "ngd")
-    x = (spec.init.probs[:-1].copy() if eta_like
-         else to_theta(spec.init).theta.copy())
-
-    def probs_of(xv):
-        if eta_like:
-            return np.append(xv, 1.0 - xv.sum())
-        m = max(0.0, xv.max())
-        w = np.exp(np.append(xv, 0.0) - m)
-        return w / w.sum()
-
-    def gap_of(xv):
-        p = probs_of(xv)
-        return float(np.dot(q_hat, np.log(q_hat) - np.log(p)))
-
-    def true_kl_of(xv):
-        if true_target is None:
-            return gap_of(xv)
-        return kl(true_target, SimplexPoint(probs_of(xv)))
-
-    states, gaps, kls = [x.copy()], [gap_of(x)], [true_kl_of(x)]
+    x = descent.state_rows(spec.method, spec.init.probs[None, :])
+    states = [x[0]]
+    gaps = [kl_rows(q_hat, descent.probs_rows(spec.method, x))[0]]
     for k in range(spec.max_iters):
         if tol is not None and gaps[-1] <= tol:
             break
         a = schedule.rate(k) if schedule is not None else spec.learning_rate
         batch_eta = rng.multivariate_hypergeometric(d.counts, size)[:-1] / size
-        if spec.method == "gd_eta":
-            x = x + a * hess_phi_matvec(EtaCoord(x), batch_eta - x)
-        elif spec.method == "ngd":
-            x = x - a * (x - batch_eta)
-        else:  # gd_theta
-            m = max(0.0, x.max())
-            w = np.exp(np.append(x, 0.0) - m)
-            x = x - a * (w[:-1] / w.sum() - batch_eta)
-        if eta_like and not (np.all(x > 0) and x.sum() < 1.0):
-            raise BoundaryEscape("minibatch iterate left the simplex")
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("minibatch iterate overflowed")
-        states.append(x.copy())
-        gaps.append(gap_of(x))
-        kls.append(true_kl_of(x))
-    return Trajectory(np.arange(len(states), dtype=float), np.array(states),
-                      np.array(kls), loss_gaps=np.array(gaps))
+        x = descent.step_rows(spec.method, x, batch_eta, a)
+        descent.check_rows(spec.method, x)
+        states.append(x[0])
+        gaps.append(kl_rows(q_hat, descent.probs_rows(spec.method, x))[0])
+    return np.array(states), np.array(gaps)
 
 
 def convergence_time(trajectories, tolerance: float, max_iters: int = 100) -> int:

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import EtaCoord, SimplexPoint, to_eta, to_theta
+from .coords import EtaCoord, SimplexPoint, softmax_rows, to_eta, to_theta
 from .errors import BoundaryEscape
-from .geometry import AffineChart
+from .geometry import AffineChart, kl_rows
 
 CHARTS = ("eta", "theta", "natural_eta", "natural_theta",
           "affine_eta", "affine_theta")
@@ -95,14 +95,6 @@ class Trajectory:
 # chart engines (batched: states are rows of a (B, n) array)
 
 
-def _softmax_probs(theta_rows):
-    m = np.maximum(0.0, theta_rows.max(axis=1))
-    w = np.exp(theta_rows - m[:, None])
-    tail = np.exp(-m)
-    denom = w.sum(axis=1) + tail
-    return np.hstack([w / denom[:, None], (tail / denom)[:, None]])
-
-
 class _Engine:
     """rhs / validity / conversions for one (loss, chart) pair."""
 
@@ -130,11 +122,11 @@ class _Engine:
         if self.chart in ("eta", "natural_eta"):
             return y
         if self.chart in ("theta", "natural_theta"):
-            return _softmax_probs(y)[:, :-1]
+            return softmax_rows(y)[:, :-1]
         if self.chart == "affine_eta":
             return y @ self.affine.a_inv  # rows (A^-T etabar)^T = etabar^T A^-1
         th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        return _softmax_probs(th)[:, :-1]
+        return softmax_rows(th)[:, :-1]
 
     def probs(self, y):
         e = self._eta_rows(y)
@@ -149,10 +141,12 @@ class _Engine:
         return ok & (e > 0.0).all(axis=1) & (e.sum(axis=1) < 1.0)
 
     def kl_to_target(self, y):
+        """KL to the target per row, clipped at 0 (both forms are sums that
+        round to just below 0 near the optimum)."""
         p = self.probs(y)
         if self.loss == "Lq":
-            return (self.q * np.log(self.q)).sum() - np.log(p) @ self.q
-        return (p * (np.log(p) - np.log(self.q))).sum(axis=1)
+            return kl_rows(self.q, p)
+        return np.maximum(0.0, (p * (np.log(p) - np.log(self.q))).sum(axis=1))
 
     # dynamics -------------------------------------------------------------
 
@@ -171,17 +165,17 @@ class _Engine:
         if self.chart == "eta":
             return self._mixture_pull(y)
         if self.chart == "theta":
-            return self.eta_q - _softmax_probs(y)[:, :-1]
+            return self.eta_q - softmax_rows(y)[:, :-1]
         if self.chart == "natural_eta":
             return self.eta_q - y
         if self.chart == "natural_theta":
-            e = _softmax_probs(y)[:, :-1]
+            e = softmax_rows(y)[:, :-1]
             return self._mixture_pull(e)
         if self.chart == "affine_eta":
             e = self._eta_rows(y)
             return self._mixture_pull(e) @ self.affine.a_inv.T
         th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        g = _softmax_probs(th)[:, :-1] - self.eta_q
+        g = softmax_rows(th)[:, :-1] - self.eta_q
         return -(g @ self.affine.a_matrix)
 
     def _rhs_lstar(self, y):
@@ -192,7 +186,7 @@ class _Engine:
         if self.chart == "natural_theta":
             return tp - y
         if self.chart == "theta":
-            e = _softmax_probs(y)[:, :-1]
+            e = softmax_rows(y)[:, :-1]
             v = tp - y
             return e * v - e * (e * v).sum(axis=1, keepdims=True)
         if self.chart == "natural_eta":
@@ -205,7 +199,7 @@ class _Engine:
             v = tp - (np.log(e) - np.log(rest))
             return v @ self.affine.a_inv.T
         th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        e = _softmax_probs(th)[:, :-1]
+        e = softmax_rows(th)[:, :-1]
         v = tp - th
         w = e * v - e * (e * v).sum(axis=1, keepdims=True)
         return w @ self.affine.a_matrix

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta, phi,
-                     psi, simplex_from_eta, simplex_from_theta, theta_from_eta,
-                     to_eta, to_theta)
+                     psi, simplex_from_theta, theta_from_eta)
 
 SYM_TOL = 1e-12
 
@@ -64,6 +63,16 @@ def kl(q: SimplexPoint, p: SimplexPoint) -> float:
     return float(np.dot(q.probs, np.log(q.probs) - np.log(p.probs)))
 
 
+def kl_rows(q: np.ndarray, probs_rows: np.ndarray) -> np.ndarray:
+    """D(q||p) for every row p of probs_rows (q a probability vector).
+
+    Computed as sum q log q - log(p) . q, a difference of two sums that can
+    round to just below zero near p = q, so the result is clipped at 0.  A
+    row with a zero entry gives inf, a row with a negative entry NaN.
+    """
+    return np.maximum(0.0, (q * np.log(q)).sum() - np.log(probs_rows) @ q)
+
+
 def bregman_psi(tp: ThetaCoord, tq: ThetaCoord) -> float:
     """Bregman divergence of the log-partition:
     psi(tp) - psi(tq) - grad psi(tq).(tp - tq).  Equals kl(q, p)."""
@@ -78,11 +87,6 @@ def bregman_phi(eq: EtaCoord, ep: EtaCoord) -> float:
     _check_same_n(eq, ep)
     tp = theta_from_eta(ep).theta
     return phi(eq) - phi(ep) - float(np.dot(tp, eq.eta - ep.eta))
-
-
-def loss_to_target(q: SimplexPoint, p: SimplexPoint) -> float:
-    """L_q(p): KL to the fixed target q as a function of the moving point p."""
-    return kl(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +237,6 @@ class AffineChart:
         return EtaCoord(self.a_inv.T @ eta_bar)
 
 
-def chart_pullback_grad(chart: AffineChart, grad_theta: np.ndarray) -> np.ndarray:
-    """Gradient in thetabar of f(A thetabar + b), given the gradient in theta."""
-    return chart.a_matrix.T @ grad_theta
-
-
-def chart_pushforward_eta(chart: AffineChart, e: EtaCoord) -> np.ndarray:
-    """Dual coordinates in the barred chart: etabar = A^T eta."""
-    return chart.a_matrix.T @ e.eta
-
-
 def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
     """Chart that makes both Hessians at the optimum proportional to identity.
 
@@ -259,15 +253,3 @@ def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
     d = sym_sqrt(hess_phi(eta_from_theta(tq))).entries
     return AffineChart(d / np.sqrt(c), np.zeros(tq.n), scale_c=c)
 
-
-# re-exported conveniences used widely by callers ---------------------------
-
-__all__ = [
-    "SymMatrix", "AffineChart", "kl", "bregman_psi", "bregman_phi",
-    "loss_to_target", "loss_Lq_theta", "loss_Lstar_theta",
-    "grad_Lq_eta", "grad_Lq_theta", "grad_Lstar_eta", "grad_Lstar_theta",
-    "natural_grad_Lq", "natural_grad_Lstar",
-    "hess_phi", "hess_psi", "hess_phi_matvec", "hess_psi_matvec",
-    "hess_Lq_eta", "chart_pullback_grad", "chart_pushforward_eta",
-    "make_identity_chart",
-]

@@ -17,12 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coords import EtaCoord, SimplexPoint, ThetaCoord, to_eta, to_theta
-from .descent import DescentSpec, destabilizing_delta, optimal_lr
+from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
+                      probs_rows, state_rows, step_rows, valid_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import InsufficientDecay, WitnessNotFound, ZeroCount
 from .flows import Trajectory, integrate_batch, natural_flow_exact
-from .geometry import (hess_Lq_eta, hess_phi, hess_psi, kl, loss_Lq_theta,
-                       loss_Lstar_theta, make_identity_chart)
+from .geometry import (hess_Lq_eta, hess_phi, hess_psi, kl, kl_rows,
+                       loss_Lq_theta, loss_Lstar_theta, make_identity_chart)
 from .rng import (make_rng, normal_matrix, normal_vector, random_simplex_batch,
                   random_simplex_point)
 from .spectral import cond, eigh, eigvalsh_batch, solve_lyapunov
@@ -78,6 +79,19 @@ def write_json(path, summary):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_round9(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit(out_dir, stem, summary, header=None, rows=()):
+    """Write <stem>.csv (when a header is given) and <stem>.json, the summary
+    without its rows and private keys, into out_dir; no-op without one."""
+    if not out_dir:
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    if header is not None:
+        write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
+    write_json(os.path.join(out_dir, f"{stem}.json"),
+               {k: v for k, v in summary.items()
+                if k != "rows" and not k.startswith("_")})
 
 
 def worker_count() -> int:
@@ -183,13 +197,9 @@ def _bounds_pool(loss, q_bytes, n, grid_density, seed):
     q = np.frombuffer(q_bytes).reshape(n + 1)
     pool = random_simplex_batch(make_rng(seed), n, grid_density)
     pool = np.vstack([q[None, :], pool])  # the optimum always participates
-    losses = _kl_rows(q, pool)
+    losses = kl_rows(q, pool)
     lmin, lmax = _hessian_extremes(loss, q, pool)
     return losses, lmin, lmax
-
-
-def _kl_rows(q, probs):
-    return float((q * np.log(q)).sum()) - np.log(probs) @ q
 
 
 def _hessian_extremes(loss, q, probs):
@@ -361,13 +371,9 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
         "natural_exact_max_err": natural_exact_err,
         "rows": [list(r) for r in rows],
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, f"sandwich_n{n}.csv"),
-                  ["init_id", "rate_eta", "rate_ng", "rate_theta",
-                   "r2_eta", "r2_ng", "r2_theta"], rows)
-        write_json(os.path.join(out_dir, f"sandwich_n{n}.json"),
-                   {k: v for k, v in summary.items() if k != "rows"})
+    _emit(out_dir, f"sandwich_n{n}", summary,
+          ["init_id", "rate_eta", "rate_ng", "rate_theta",
+           "r2_eta", "r2_ng", "r2_theta"], rows)
     summary["_target"] = q
     summary["_inits"] = inits
     summary["_trajectories"] = results
@@ -431,30 +437,13 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
         "hessian_identity_max_dev": hess_dev,
         "rows": [list(r) for r in rows],
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "affine.csv"),
-                  ["c", "rate_eta_bar", "expected_eta_bar", "rate_theta_bar",
-                   "expected_theta_bar", "r2_eta_bar", "r2_theta_bar"], rows)
-        write_json(os.path.join(out_dir, "affine.json"),
-                   {k: v for k, v in summary.items() if k != "rows"})
+    _emit(out_dir, "affine", summary,
+          ["c", "rate_eta_bar", "expected_eta_bar", "rate_theta_bar",
+           "expected_theta_bar", "r2_eta_bar", "r2_theta_bar"], rows)
     return summary
 
 
 # --- learning-rate sweeps ---------------------------------------------------
-
-
-def _softmax_eta_rows(theta_rows):
-    m = np.maximum(0.0, theta_rows.max(axis=1))
-    w = np.exp(theta_rows - m[:, None])
-    denom = w.sum(axis=1) + np.exp(-m)
-    return w / denom[:, None]
-
-
-def _gap_rows(q_hat, probs_rows):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(probs_rows)
-    return float((q_hat * np.log(q_hat)).sum()) - logs @ q_hat
 
 
 def _batch_convergence_times(method, mode, counts, init_probs, lr, tolerance,
@@ -463,23 +452,18 @@ def _batch_convergence_times(method, mode, counts, init_probs, lr, tolerance,
     q_hat = counts / counts.sum()
     eta_hat = q_hat[:-1]
     b = init_probs.shape[0]
-    theta_state = method == "gd_theta"
-    if theta_state:
-        y = np.log(init_probs[:, :-1]) - np.log(init_probs[:, -1:])
-    else:
-        y = init_probs[:, :-1].copy()
+    y = state_rows(method, init_probs)
     rng = make_rng(sgd_seed)
     times = np.full(b, max_iters, dtype=np.int64)
     alive = np.ones(b, dtype=bool)
 
-    def probs_of(yv):
-        if theta_state:
-            e = _softmax_eta_rows(yv)
-        else:
-            e = yv
-        return np.hstack([e, 1.0 - e.sum(axis=1, keepdims=True)])
+    def gaps_of(yv):
+        # rows no longer alive keep stepping and may leave the simplex or
+        # underflow a probability; their gaps are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return kl_rows(q_hat, probs_rows(method, yv))
 
-    gaps = _gap_rows(q_hat, probs_of(y))
+    gaps = gaps_of(y)
     hit = alive & (gaps <= tolerance)
     times[hit] = 0
     alive &= ~hit
@@ -493,27 +477,14 @@ def _batch_convergence_times(method, mode, counts, init_probs, lr, tolerance,
         else:
             target_eta = eta_hat
             a = lr
-        if method == "gd_eta":
-            v = target_eta - y
-            rest = 1.0 - y.sum(axis=1, keepdims=True)
-            y = y + a * (v / y + v.sum(axis=1, keepdims=True) / rest)
-        elif method == "gd_theta":
-            y = y - a * (_softmax_eta_rows(y) - target_eta)
-        else:  # ngd, mixture coordinates
-            y = y - a * (y - target_eta)
-        finite = np.all(np.isfinite(y), axis=1)
-        if theta_state:
-            dead = alive & ~finite
-        else:
-            interior = finite & np.all(y > 0.0, axis=1) & (y.sum(axis=1) < 1.0)
-            dead = alive & ~interior
+        y = step_rows(method, y, target_eta, a)
+        dead = alive & ~valid_rows(method, y)
         if dead.any():
             alive &= ~dead
-            y[dead] = (np.log(init_probs[dead, :-1]) - np.log(init_probs[dead, -1:])
-                       if theta_state else init_probs[dead, :-1])
+            y[dead] = state_rows(method, init_probs[dead])
         if not alive.any():
             break
-        gaps = _gap_rows(q_hat, probs_of(y))
+        gaps = gaps_of(y)
         hit = alive & (gaps <= tolerance)
         times[hit] = k + 1
         alive &= ~hit
@@ -532,7 +503,7 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
     so times are comparable.  A row saturates at max_iters when any init
     fails to converge.
     """
-    if method not in ("gd_eta", "gd_theta", "ngd"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if mode not in ("full_batch", "sgd"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -569,12 +540,8 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
         "argmin_lrs": argmin_lrs,
         "rows": [[lr, t] for lr, t in rows],
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, f"sweep_{method}_{mode}.csv"),
-                  ["learning_rate", "convergence_time"], rows)
-        write_json(os.path.join(out_dir, f"sweep_{method}_{mode}.json"),
-                   {k: v for k, v in summary.items() if k != "rows"})
+    _emit(out_dir, f"sweep_{method}_{mode}", summary,
+          ["learning_rate", "convergence_time"], rows)
     return summary
 
 
@@ -622,12 +589,8 @@ def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
         },
         "rows": [list(map(float, r)) for r in rows],
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, f"empirical_sandwich_n{n}.csv"),
-                  ["k", "kl_eta", "kl_ng", "kl_theta"], rows)
-        write_json(os.path.join(out_dir, f"empirical_sandwich_n{n}.json"),
-                   {k: v for k, v in summary.items() if k != "rows"})
+    _emit(out_dir, f"empirical_sandwich_n{n}", summary,
+          ["k", "kl_eta", "kl_ng", "kl_theta"], rows)
     return summary
 
 
@@ -664,10 +627,7 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
         summary = _robustness_additive(q, q_eta, q_theta, seeds)
     summary["target"] = q.probs.tolist()
     summary["config"] = {"kind": kind, "n": n, "seeds": list(map(int, seeds))}
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_json(os.path.join(out_dir, f"robustness_{kind}.json"),
-                   {k: v for k, v in summary.items() if not k.startswith("_")})
+    _emit(out_dir, f"robustness_{kind}", summary)
     return summary
 
 
@@ -870,11 +830,7 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
         },
         "rows": [list(r) for r in rows],
     }
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "sections.csv"),
-                  ["direction_id", "s", "eta_section", "theta_section",
-                   "reference"], rows)
-        write_json(os.path.join(out_dir, "sections.json"),
-                   {k: v for k, v in summary.items() if k != "rows"})
+    _emit(out_dir, "sections", summary,
+          ["direction_id", "s", "eta_section", "theta_section", "reference"],
+          rows)
     return summary

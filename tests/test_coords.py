@@ -3,9 +3,20 @@ import pytest
 
 from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
                                   eta_from_theta, phi, psi, simplex_from_eta,
-                                  simplex_from_theta, theta_from_eta, to_eta,
-                                  to_theta)
+                                  simplex_from_theta, softmax_rows,
+                                  theta_from_eta, to_eta, to_theta)
 from simplex_flows.rng import make_rng, random_simplex_point
+
+
+def test_softmax_rows_matches_one_point_softmax():
+    # w / sum(w) over the n+1 shifted exponentials, one point at a time: the
+    # same bits at these sizes (summation order differs at some others)
+    rng = make_rng(3)
+    for n in (2, 10):
+        theta = 5.0 * rng.standard_normal((50, n))
+        for t, row in zip(theta, softmax_rows(theta)):
+            w = np.exp(np.concatenate([t, [0.0]]) - max(0.0, t.max()))
+            assert np.array_equal(w / w.sum(), row)
 
 
 def test_roundtrips_all_charts():

@@ -100,12 +100,17 @@ def test_destabilizing_delta_places_eigenvalue_at_minus_one():
     assert np.abs(eigs + 1.0).min() < 1e-10
 
 
-def test_nonlinear_ngd_is_not_single_step_from_far_away():
+def test_nonlinear_ngd_is_the_mixture_update_from_far_away():
+    # ngd iterates eta <- eta - alpha (eta - eta_q) in both variants, so it
+    # lands on the target in one step at alpha = 1 even from far away
     q, p0 = _pair(8, 2)
     assert kl(q, p0) > 0.1
-    spec = DescentSpec("ngd", "nonlinear", q, p0, 1.0, max_iters=1)
-    traj = run(spec)
-    assert traj.kl_values[1] > 1e-6   # one update is not enough nonlinearly
+    one = run(DescentSpec("ngd", "nonlinear", q, p0, 1.0, max_iters=1))
+    assert one.kl_values[1] < 1e-15
+    runs = [run(DescentSpec("ngd", variant, q, p0, 0.3, max_iters=40))
+            for variant in ("nonlinear", "linearized")]
+    assert np.abs(runs[0].states - runs[1].states).max() < 1e-14
+    assert np.abs(runs[0].kl_values - runs[1].kl_values).max() < 1e-14
 
 
 def test_nonlinear_methods_descend(rng):

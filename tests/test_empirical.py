@@ -59,6 +59,26 @@ def test_full_batch_is_bit_identical_to_descent():
     assert np.array_equal(emp.loss_gaps, ref.kl_values)
 
 
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("method,alpha", [("gd_eta", 0.001), ("gd_theta", 0.3),
+                                          ("ngd", 0.3)])
+def test_whole_dataset_minibatch_is_bit_identical_to_full_batch(method, alpha,
+                                                                n):
+    # drawing every sample without replacement gives q_hat exactly, so each
+    # step must be the full-batch step: one method, one update
+    rng = make_rng(13)
+    q = random_simplex_point(rng, n)
+    d = sample_dataset(q, 10000, seed=3)
+    p0 = random_simplex_point(rng, n)
+    spec = DescentSpec(method, "nonlinear", empirical_target(d), p0, alpha,
+                       max_iters=40)
+    full = run_empirical(spec, d, true_target=q)
+    mini = run_empirical(spec, d, minibatch=d.total, true_target=q, seed=5)
+    assert np.array_equal(mini.states, full.states)
+    assert np.array_equal(mini.loss_gaps, full.loss_gaps)
+    assert np.array_equal(mini.kl_values, full.kl_values)
+
+
 def test_run_empirical_checks_target():
     rng = make_rng(2)
     q = random_simplex_point(rng, 2)

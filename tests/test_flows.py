@@ -73,6 +73,18 @@ def test_lstar_flows_decrease_kl():
         assert np.all(np.diff(traj.kl_values) <= 1e-12)
 
 
+@pytest.mark.parametrize("loss", ["Lq", "Lstar"])
+def test_converged_kl_is_never_negative(loss):
+    # a lopsided target reached early: thousands of samples sit at the
+    # optimum, where KL as a difference of sums rounds to about -5e-17
+    q = SimplexPoint(np.array([0.98, 0.01, 0.01]))
+    p0 = SimplexPoint(np.array([0.001, 0.499, 0.5]))
+    traj = integrate(FlowSpec(loss, "eta", q, p0), 20.0, dt=1e-3,
+                     sample_every=1)
+    assert traj.kl_values.min() >= 0.0
+    assert traj.kl_values[-1] < 1e-15
+
+
 @pytest.mark.parametrize("dt", [0.2, 0.1, 1e-3])
 def test_accuracy_does_not_depend_on_dt(dt):
     # dt only sets the sample grid and the first trial step; the adaptive

@@ -13,7 +13,7 @@ from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
                      phi, psi, simplex_from_eta, simplex_from_theta,
                      theta_from_eta, to_eta, to_theta)
 from .descent import (DescentSpec, NoiseModel, destabilizing_delta,
-                      gaussian_noise, optimal_lr, run, step)
+                      optimal_lr, run, step)
 from .empirical import (Dataset, SgdSchedule, convergence_time,
                         empirical_kl, empirical_target, run_empirical,
                         sample_dataset)

@@ -1,21 +1,21 @@
 """Command-line front end.
 
 Subcommands dispatch the lab experiments and a few one-shot utilities.
-Settings resolve in three layers: built-in defaults, then a flat key=value
+One table, _COMMANDS, gives each subcommand its keys and their defaults;
+its flags and the config keys it accepts both come from there.  Settings
+resolve in three layers: built-in defaults, then a flat key=value
 config file (--config), then explicit command-line flags.  Exit codes:
 0 success, 1 an experiment assertion failed, 2 usage/config error.
 """
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lab
-from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
-                     simplex_from_eta, simplex_from_theta, to_eta, to_theta)
+from .coords import (EtaCoord, SimplexPoint, ThetaCoord, simplex_from_eta,
+                     simplex_from_theta, to_eta, to_theta)
 from .errors import SimplexFlowsError, WitnessNotFound
 from .flows import FlowSpec, Trajectory, integrate, natural_flow_exact
 from .geometry import hess_phi, hess_psi, kl
@@ -26,17 +26,6 @@ from .spectral import eigh, solve_lyapunov
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one invocation."""
-
-    experiment: str = ""
-    n: int = 2
-    seed: int = 0
-    overrides: dict = field(default_factory=dict)
-    output_dir: str = ""
 
 
 # value parsers for every key a config file or flag may set
@@ -55,20 +44,21 @@ def _parse_floats(text):
 
 
 _KEY_TYPES = {
-    "experiment": str, "n": int, "seed": int, "inits": int, "tol": float,
+    "n": int, "seed": int, "inits": int, "tol": float,
     "out": str, "mode": str, "method": str, "grid": _parse_grid,
     "t_end": float, "dt": float, "sample_every": int, "n_samples": int,
     "minibatch": int, "decay_a": float, "max_iters": int,
     "c_values": _parse_floats, "budget": int, "box": float,
     "directions": int, "s_max": float, "s_count": int, "alpha": float,
-    "kind": str, "n_seeds": int,
+    "kind": str, "n_seeds": int, "p": str, "q": str, "theta": str,
+    "eta": str, "file": str,
 }
 _HELP = {"dt": "interval of the time grid the samples are taken on, and the "
                "first trial step; accuracy comes from the adaptive "
                "integrator's tolerances, not from dt"}
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     """Parse a flat key=value file ('#' starts a comment)."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -88,26 +78,20 @@ def load_config(path) -> RunConfig:
                 raise UsageError(
                     f"{path}:{lineno}: malformed value for key {key!r}: {exc}"
                 ) from exc
-    cfg = RunConfig()
-    cfg.experiment = values.get("experiment", "")
-    cfg.n = values.get("n", cfg.n)
-    cfg.seed = values.get("seed", cfg.seed)
-    cfg.output_dir = values.get("out", cfg.output_dir)
-    cfg.overrides = {k: v for k, v in values.items() if k != "experiment"}
-    return cfg
+    return values
 
 
-def _resolve(args, keys, defaults):
-    """defaults <- config file <- explicit flags, restricted to `keys`."""
+def _resolve(args, defaults):
+    """defaults <- config file <- explicit flags, restricted to the
+    command's keys (the keys of `defaults`)."""
     settings = dict(defaults)
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        for key, val in cfg.overrides.items():
-            if key not in keys:
+    if args.config:
+        for key, val in load_config(args.config).items():
+            if key not in defaults:
                 raise UsageError(f"config key {key!r} does not apply to this command")
             settings[key] = val
-    for key in keys:
-        flag = getattr(args, key, None)
+    for key in defaults:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     return settings
@@ -130,14 +114,10 @@ def _assertions_ok(summary):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved settings of its keys in _COMMANDS
 
 
-def _cmd_sandwich(args):
-    s = _resolve(args, ("n", "seed", "inits", "t_end", "dt", "sample_every",
-                        "out"),
-                 {"n": 2, "seed": 0, "inits": 100, "t_end": None,
-                  "dt": 1e-3, "sample_every": 10, "out": ""})
+def _cmd_sandwich(s):
     summary = lab.sandwich_experiment(
         s["n"], s["inits"], s["seed"], t_end=s["t_end"], dt=s["dt"],
         sample_every=s["sample_every"], out_dir=s["out"] or None)
@@ -147,10 +127,7 @@ def _cmd_sandwich(args):
     return 0 if _assertions_ok(summary) else 1
 
 
-def _cmd_affine(args):
-    s = _resolve(args, ("n", "seed", "c_values", "dt", "out"),
-                 {"n": 2, "seed": 0, "c_values": [0.5, 1.0, 2.0],
-                  "dt": 1e-3, "out": ""})
+def _cmd_affine(s):
     rng = make_rng(s["seed"])
     q = random_simplex_point(rng, s["n"])
     p0 = random_simplex_point(rng, s["n"])
@@ -163,14 +140,7 @@ def _cmd_affine(args):
     return 0 if _assertions_ok(summary) else 1
 
 
-def _cmd_sweep(args):
-    s = _resolve(args, ("method", "grid", "mode", "n", "seed", "inits", "tol",
-                        "n_samples", "minibatch", "decay_a", "max_iters",
-                        "out"),
-                 {"method": "ngd", "grid": None, "mode": "full_batch",
-                  "n": 10, "seed": 0, "inits": 100, "tol": 1e-4,
-                  "n_samples": 100000, "minibatch": 1000, "decay_a": 1000.0,
-                  "max_iters": 100, "out": ""})
+def _cmd_sweep(s):
     if s["grid"] is None:
         raise UsageError("sweep requires --grid lo:hi:count")
     summary = lab.lr_sweep(s["method"], s["grid"], s["inits"], s["tol"],
@@ -185,10 +155,7 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_robustness(args):
-    s = _resolve(args, ("kind", "n", "seed", "n_seeds", "out"),
-                 {"kind": "multiplicative", "n": 2, "seed": 0,
-                  "n_seeds": 10, "out": ""})
+def _cmd_robustness(s):
     rng = make_rng(s["seed"])
     q = random_simplex_point(rng, s["n"])
     seeds = [s["seed"] * 1000 + i for i in range(s["n_seeds"])]
@@ -199,10 +166,7 @@ def _cmd_robustness(args):
     return 0 if _assertions_ok(summary) else 1
 
 
-def _cmd_empirical(args):
-    s = _resolve(args, ("n", "seed", "alpha", "n_samples", "max_iters", "out"),
-                 {"n": 2, "seed": 0, "alpha": None, "n_samples": 100000,
-                  "max_iters": 100, "out": ""})
+def _cmd_empirical(s):
     summary = lab.empirical_sandwich(s["n"], s["seed"], alpha=s["alpha"],
                                      n_samples=s["n_samples"],
                                      max_iters=s["max_iters"],
@@ -213,13 +177,10 @@ def _cmd_empirical(args):
     return 0 if _assertions_ok(summary) else 1
 
 
-def _cmd_nonconvexity(args):
-    s = _resolve(args, ("seed", "budget", "box"),
-                 {"seed": 0, "budget": 10000, "box": 8.0})
-    p = _probs_arg(args.p) if args.p else SimplexPoint(np.array([0.7, 0.2, 0.1]))
+def _cmd_nonconvexity(s):
     try:
-        witness = lab.nonconvexity_witness(p, s["seed"], budget=s["budget"],
-                                           box=s["box"])
+        witness = lab.nonconvexity_witness(_probs_arg(s["p"]), s["seed"],
+                                           budget=s["budget"], box=s["box"])
     except WitnessNotFound as exc:
         print(f"witness_found = false  # {exc}")
         return 1
@@ -233,10 +194,7 @@ def _cmd_nonconvexity(args):
     return 0
 
 
-def _cmd_sections(args):
-    s = _resolve(args, ("n", "seed", "directions", "s_max", "s_count", "out"),
-                 {"n": 2, "seed": 0, "directions": 8, "s_max": 0.2,
-                  "s_count": 41, "out": ""})
+def _cmd_sections(s):
     rng = make_rng(s["seed"])
     q = random_simplex_point(rng, s["n"])
     grid = np.linspace(-s["s_max"], s["s_max"], s["s_count"])
@@ -247,34 +205,34 @@ def _cmd_sections(args):
     return 0 if _assertions_ok(summary) else 1
 
 
-def _cmd_convert(args):
-    given = [x for x in (args.theta, args.eta, args.p) if x is not None]
+def _cmd_convert(s):
+    given = [x for x in (s["theta"], s["eta"], s["p"]) if x is not None]
     if len(given) != 1:
         raise UsageError("convert needs exactly one of --theta, --eta, --p")
-    if args.theta is not None:
-        point = simplex_from_theta(ThetaCoord(np.array(_parse_floats(args.theta))))
-    elif args.eta is not None:
-        point = simplex_from_eta(EtaCoord(np.array(_parse_floats(args.eta))))
+    if s["theta"] is not None:
+        point = simplex_from_theta(ThetaCoord(np.array(_parse_floats(s["theta"]))))
+    elif s["eta"] is not None:
+        point = simplex_from_eta(EtaCoord(np.array(_parse_floats(s["eta"]))))
     else:
-        point = _probs_arg(args.p)
+        point = _probs_arg(s["p"])
     _print_kv("p", point.probs)
     _print_kv("eta", to_eta(point).eta)
     _print_kv("theta", to_theta(point).theta)
     return 0
 
 
-def _cmd_kl(args):
-    if args.q is None or args.p is None:
+def _cmd_kl(s):
+    if s["q"] is None or s["p"] is None:
         raise UsageError("kl needs --q and --p")
-    value = kl(_probs_arg(args.q), _probs_arg(args.p))
+    value = kl(_probs_arg(s["q"]), _probs_arg(s["p"]))
     _print_kv("kl", value)
     return 0
 
 
-def _cmd_fit_rate(args):
-    if args.file is None:
+def _cmd_fit_rate(s):
+    if s["file"] is None:
         raise UsageError("fit-rate needs --file with columns t,kl")
-    data = np.loadtxt(args.file, delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt(s["file"], delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
         raise UsageError("fit-rate file must have two columns: t,kl")
     traj = Trajectory(data[:, 0], data[:, 0][:, None], data[:, 1])
@@ -286,7 +244,7 @@ def _cmd_fit_rate(args):
     return 0
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(s):
     failures = run_selftest()
     for name, ok in failures.items():
         _print_kv(name, ok)
@@ -328,18 +286,36 @@ def run_selftest() -> dict:
     return checks
 
 
+# subcommand -> (runner, defaults).  The defaults' keys, in order, are the
+# command's flags (underscores written as dashes) and its config keys.
 _COMMANDS = {
-    "sandwich": _cmd_sandwich,
-    "affine": _cmd_affine,
-    "sweep": _cmd_sweep,
-    "robustness": _cmd_robustness,
-    "empirical": _cmd_empirical,
-    "nonconvexity": _cmd_nonconvexity,
-    "sections": _cmd_sections,
-    "convert": _cmd_convert,
-    "kl": _cmd_kl,
-    "fit-rate": _cmd_fit_rate,
-    "selftest": _cmd_selftest,
+    "sandwich": (_cmd_sandwich,
+                 {"n": 2, "seed": 0, "inits": 100, "t_end": None, "dt": 1e-3,
+                  "sample_every": 10, "out": ""}),
+    "affine": (_cmd_affine,
+               {"n": 2, "seed": 0, "c_values": [0.5, 1.0, 2.0], "dt": 1e-3,
+                "out": ""}),
+    "sweep": (_cmd_sweep,
+              {"method": "ngd", "grid": None, "mode": "full_batch", "n": 10,
+               "seed": 0, "inits": 100, "tol": 1e-4, "n_samples": 100000,
+               "minibatch": 1000, "decay_a": 1000.0, "max_iters": 100,
+               "out": ""}),
+    "robustness": (_cmd_robustness,
+                   {"kind": "multiplicative", "n": 2, "seed": 0,
+                    "n_seeds": 10, "out": ""}),
+    "empirical": (_cmd_empirical,
+                  {"n": 2, "seed": 0, "alpha": None, "n_samples": 100000,
+                   "max_iters": 100, "out": ""}),
+    "nonconvexity": (_cmd_nonconvexity,
+                     {"seed": 0, "budget": 10000, "box": 8.0,
+                      "p": "0.7,0.2,0.1"}),
+    "sections": (_cmd_sections,
+                 {"n": 2, "seed": 0, "directions": 8, "s_max": 0.2,
+                  "s_count": 41, "out": ""}),
+    "convert": (_cmd_convert, {"theta": None, "eta": None, "p": None}),
+    "kl": (_cmd_kl, {"q": None, "p": None}),
+    "fit-rate": (_cmd_fit_rate, {"file": None}),
+    "selftest": (_cmd_selftest, {}),
 }
 
 
@@ -348,35 +324,12 @@ def _build_parser():
         prog="simplex-flows",
         description="KL-divergence gradient flows and descent on the simplex")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, (_runner, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        for flag in flags:
-            key = flag.replace("-", "_")
-            sp.add_argument(f"--{flag}", dest=key, type=_KEY_TYPES[key],
-                            help=_HELP.get(key))
-        return sp
-
-    add("sandwich", "n", "seed", "inits", "t-end", "dt", "sample-every", "out")
-    add("affine", "n", "seed", "c-values", "dt", "out")
-    add("sweep", "method", "grid", "mode", "n", "seed", "inits", "tol",
-        "n-samples", "minibatch", "decay-a", "max-iters", "out")
-    add("robustness", "kind", "n", "seed", "n-seeds", "out")
-    add("empirical", "n", "seed", "alpha", "n-samples", "max-iters", "out")
-    nc = add("nonconvexity", "seed", "budget", "box")
-    nc.add_argument("--p")
-    add("sections", "n", "seed", "directions", "s-max", "s-count", "out")
-    cv = add("convert")
-    cv.add_argument("--theta")
-    cv.add_argument("--eta")
-    cv.add_argument("--p")
-    klp = add("kl")
-    klp.add_argument("--q")
-    klp.add_argument("--p")
-    fr = add("fit-rate")
-    fr.add_argument("--file")
-    add("selftest")
+        for key in defaults:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=_KEY_TYPES[key], help=_HELP.get(key))
     return parser
 
 
@@ -386,8 +339,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    runner, defaults = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return runner(_resolve(args, defaults))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -263,9 +263,3 @@ def destabilizing_delta(q_matrix) -> SymMatrix:
     u = dec.vectors[:, -1]
     return SymMatrix(np.outer(u, u) / kappa)
 
-
-def gaussian_noise(dim: int, rng) -> np.ndarray:
-    """A standard normal vector from the shared Box-Muller stream."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return normal_vector(rng, dim)

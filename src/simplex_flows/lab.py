@@ -16,14 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coords import EtaCoord, SimplexPoint, ThetaCoord, to_eta, to_theta
+from .coords import SimplexPoint, ThetaCoord, to_eta, to_theta
 from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
                       probs_rows, state_rows, step_rows, valid_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import InsufficientDecay, WitnessNotFound, ZeroCount
-from .flows import Trajectory, integrate_batch, natural_flow_exact
-from .geometry import (hess_Lq_eta, hess_phi, hess_psi, kl, kl_rows,
-                       loss_Lq_theta, loss_Lstar_theta, make_identity_chart)
+from .flows import integrate_batch
+from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
+                       loss_Lstar_theta, make_identity_chart)
 from .rng import (make_rng, normal_matrix, normal_vector, random_simplex_batch,
                   random_simplex_point)
 from .spectral import cond, eigh, eigvalsh_batch, solve_lyapunov

@@ -1,11 +1,13 @@
 """Symmetric eigenproblems: cyclic Jacobi solver and a few derived quantities.
 
-The solver sweeps all off-diagonal pairs in a fixed row-major order and
-applies Givens rotations until the off-diagonal Frobenius norm drops below
-1e-12 (relative to the matrix scale).  The fixed order and a sign
-convention on the eigenvectors (largest-magnitude component positive) make
-the output fully deterministic, which downstream experiments rely on for
-byte-identical reruns.
+One batched Jacobi routine serves both entry points: eigvalsh_batch runs it
+on a stack of matrices, and eigh is a stack of one that also accumulates
+the eigenvectors.  It sweeps all off-diagonal pairs in a fixed row-major
+order and applies Givens rotations until the off-diagonal Frobenius norm
+drops below 1e-15 (relative to the matrix scale).  The fixed order and a
+sign convention on the eigenvectors (largest-magnitude component positive)
+make the output fully deterministic, which downstream experiments rely on
+for byte-identical reruns.
 """
 
 from dataclasses import dataclass
@@ -45,61 +47,13 @@ def _as_symmetric(m) -> np.ndarray:
     return SymMatrix(m).entries.copy()
 
 
-def eigh(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi."""
-    a = _as_symmetric(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, np.sqrt((a * a).sum()))
-    mask = ~np.eye(n, dtype=bool)
-    for _sweep in range(MAX_SWEEPS):
-        if np.sqrt((a[mask] ** 2).sum()) < OFF_DIAG_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- G^T A G with G the rotation in the (p, q) plane
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    # sign convention: largest-magnitude component of each vector is positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return EigenDecomposition(vals, vecs)
-
-
-def eigvalsh_batch(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a stack of symmetric matrices, shape (B, n, n).
-
-    Same cyclic Jacobi sweeps as eigh, vectorized across the batch so that
-    sublevel-set scans over thousands of Hessians stay cheap.  Eigenvectors
-    are not accumulated.
+def _jacobi(a: np.ndarray, vectors: bool):
+    """Cyclic Jacobi on a (B, n, n) stack, in place; returns the unsorted
+    diagonals and, if asked, the accumulated rotations (else None).
+    Sweeps continue until every matrix of the stack has converged.
     """
-    a = np.array(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
     b, n, _ = a.shape
+    v = np.broadcast_to(np.eye(n), (b, n, n)).copy() if vectors else None
     scale = np.maximum(1.0, np.sqrt((a * a).sum(axis=(1, 2))))
     mask = ~np.eye(n, dtype=bool)
     for _sweep in range(MAX_SWEEPS):
@@ -109,25 +63,56 @@ def eigvalsh_batch(stack: np.ndarray) -> np.ndarray:
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[:, p, q]
-                active = np.abs(apq) > 1e-300
+                active = np.abs(apq) >= 1e-300
                 if not active.any():
                     continue
-                denom = np.where(active, 2.0 * apq, 1.0)
-                tau = np.where(active, (a[:, q, q] - a[:, p, p]) / denom, 0.0)
-                t = np.sign(tau) + (tau == 0.0)  # sign with sign(0) := +1
-                t = t / (np.abs(tau) + np.hypot(1.0, tau))
+                tau = (a[:, q, q] - a[:, p, p]) / np.where(active, 2.0 * apq, 1.0)
+                # tau * tau overflows for huge tau; the rotation is then 0
+                with np.errstate(over="ignore"):
+                    t = (np.where(tau >= 0.0, 1.0, -1.0)
+                         / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
                 t = np.where(active, t, 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 cc, ss = c[:, None], s[:, None]
+                # A <- G^T A G with G the rotation in the (p, q) plane
                 rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
                 a[:, p, :] = cc * rp - ss * rq
                 a[:, q, :] = ss * rp + cc * rq
                 cp, cq = a[:, :, p].copy(), a[:, :, q].copy()
                 a[:, :, p] = cc * cp - ss * cq
                 a[:, :, q] = ss * cp + cc * cq
-    vals = np.einsum("bii->bi", a)
-    return np.sort(vals, axis=1)
+                if vectors:
+                    vp, vq = v[:, :, p].copy(), v[:, :, q].copy()
+                    v[:, :, p] = cc * vp - ss * vq
+                    v[:, :, q] = ss * vp + cc * vq
+    return np.einsum("bii->bi", a), v
+
+
+def eigh(m) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix: a stack of one."""
+    diag, v = _jacobi(_as_symmetric(m)[None], vectors=True)
+    order = np.argsort(diag[0], kind="stable")
+    vals = diag[0][order]
+    vecs = v[0][:, order]
+    # sign convention: largest-magnitude component of each vector is positive
+    for j in range(vecs.shape[1]):
+        k = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[k, j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return EigenDecomposition(vals, vecs)
+
+
+def eigvalsh_batch(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a stack of symmetric matrices, shape (B, n, n).
+
+    The same Jacobi sweeps as eigh, without accumulating eigenvectors, so
+    sublevel-set scans over thousands of Hessians stay cheap.
+    """
+    a = np.array(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
+    return np.sort(_jacobi(a, vectors=False)[0], axis=1)
 
 
 def cond(m) -> float:

@@ -1,3 +1,7 @@
+import argparse
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +153,67 @@ def test_sweep_requires_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--method", "ngd")
     assert code == 2
     assert "grid" in err
+
+
+def test_config_experiment_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("n = 2\nexperiment = sandwich\n")
+    code, _, err = run_cli(capsys, "sections", "--config", str(cfg))
+    assert code == 2
+    assert "c.ini:2" in err and "experiment" in err
+
+
+def test_parser_flags_are_the_table_keys():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(cli._COMMANDS)
+    for name, (_runner, defaults) in cli._COMMANDS.items():
+        dests = {a.dest: a.option_strings for a in subparsers[name]._actions
+                 if a.dest not in ("help", "config")}
+        assert list(dests) == list(defaults)
+        for key, flags in dests.items():
+            assert flags == ["--" + key.replace("_", "-")]
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("simplex-flows ")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command in cli._COMMANDS
+
+
+_SAMPLE_TEXT = {int: "3", float: "0.5", str: "abc",
+                cli._parse_grid: "0.1:0.2:2", cli._parse_floats: "0.5,2"}
+
+
+def test_config_can_set_every_key_of_every_command(tmp_path):
+    parser = cli._build_parser()
+    for name, (_runner, defaults) in cli._COMMANDS.items():
+        for key in defaults:
+            kind = cli._KEY_TYPES[key]
+            cfg = tmp_path / f"{name}_{key}.ini"
+            cfg.write_text(f"{key} = {_SAMPLE_TEXT[kind]}\n")
+            args = parser.parse_args([name, "--config", str(cfg)])
+            settings = cli._resolve(args, defaults)
+            assert settings[key] == kind(_SAMPLE_TEXT[kind])
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["nonconvexity", "--p", "0.7,0.2,0.1", "--budget", "2000"],
+     "p = 0.7,0.2,0.1\nbudget = 2000\n"),
+    (["convert", "--theta", "0.5,-1"], "theta = 0.5,-1\n"),
+    (["kl", "--q", "0.3,0.3,0.4", "--p", "0.5,0.25,0.25"],
+     "q = 0.3,0.3,0.4\np = 0.5,0.25,0.25\n"),
+], ids=["nonconvexity", "convert", "kl"])
+def test_config_key_gives_same_stdout_as_flag(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    flagged = run_cli(capsys, *argv)
+    configured = run_cli(capsys, argv[0], "--config", str(cfg))
+    assert flagged[0] == 0
+    assert configured[:2] == flagged[:2]

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from simplex_flows import lab
 from simplex_flows.coords import to_eta, to_theta
 from simplex_flows.geometry import SymMatrix, hess_phi, hess_psi
 from simplex_flows.rng import make_rng, normal_matrix, random_simplex_point
@@ -132,3 +135,29 @@ def test_hess_psi_eigenvalues_below_one():
         assert vals[-1] < 1.0
         vals_phi = eigh(hess_phi(to_eta(p))).values
         assert vals_phi[0] > 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_eigh_values_equal_batch_of_one_bit_for_bit(n):
+    rng = make_rng(16)
+    mats = []
+    for _ in range(10):
+        mats.append(_random_symmetric(rng, n))
+        p = random_simplex_point(rng, n)
+        mats.append(hess_phi(to_eta(p)).entries)
+        mats.append(hess_psi(to_theta(p)).entries)
+    for a in mats:
+        assert eigh(a).values.tobytes() == eigvalsh_batch(a[None])[0].tobytes()
+
+
+def test_rate_bounds_pool_emits_no_runtime_warning():
+    # the n = 10 pool holds Hessians whose Jacobi tau * tau overflows
+    rng = make_rng(0)
+    q = lab.draw_instance(rng, 10)
+    p0 = random_simplex_point(rng, 10)
+    lab._bounds_pool.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in ("Lq_eta", "Lq_theta"):
+            bounds = lab.rate_bounds(loss, q, p0, seed=0)
+            assert 0.0 < bounds.m_lo < bounds.l_hi < np.inf

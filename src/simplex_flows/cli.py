@@ -59,7 +59,8 @@ _HELP = {"dt": "interval of the time grid the samples are taken on, and the "
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value file ('#' starts a comment)."""
+    """Parse a flat key=value file ('#' starts a comment) into
+    {key: (line number, value)}, so later checks can name file:line."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -73,7 +74,7 @@ def load_config(path) -> dict:
             if key not in _KEY_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _KEY_TYPES[key](val)
+                values[key] = (lineno, _KEY_TYPES[key](val))
             except ValueError as exc:
                 raise UsageError(
                     f"{path}:{lineno}: malformed value for key {key!r}: {exc}"
@@ -86,9 +87,10 @@ def _resolve(args, defaults):
     command's keys (the keys of `defaults`)."""
     settings = dict(defaults)
     if args.config:
-        for key, val in load_config(args.config).items():
+        for key, (lineno, val) in load_config(args.config).items():
             if key not in defaults:
-                raise UsageError(f"config key {key!r} does not apply to this command")
+                raise UsageError(f"{args.config}:{lineno}: config key {key!r} "
+                                 f"does not apply to {args.command!r}")
             settings[key] = val
     for key in defaults:
         flag = getattr(args, key)

@@ -24,8 +24,8 @@ from .errors import InsufficientDecay, WitnessNotFound, ZeroCount
 from .flows import integrate_batch
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
                        loss_Lstar_theta, make_identity_chart)
-from .rng import (make_rng, normal_matrix, normal_vector, random_simplex_batch,
-                  random_simplex_point)
+from .rng import (make_rng, normal_matrix, normal_rows, normal_vector,
+                  random_simplex_batch, random_simplex_point)
 from .spectral import cond, eigh, eigvalsh_batch, solve_lyapunov
 
 KL_FLOOR = 1e-13
@@ -632,6 +632,10 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
 
 
 def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
+    """ngd at step 1 under random perturbations of spectral norm `norm`.
+    Per seed the noise is drawn once: the start e, then all `steps`
+    matrices in one `normal_rows` call (the same stream as one
+    `normal_matrix` per step)."""
     n = q.n
     final_norms, envelope_ok = [], True
     for seed in seeds:
@@ -639,9 +643,10 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
         e = normal_vector(rng, n)
         e = e / np.linalg.norm(e)
         e0_norm = 1.0
+        ms = normal_rows(rng, steps, n * n).reshape(steps, n, n)
+        s_norms = np.linalg.norm(ms, 2, axis=(1, 2))
         for k in range(steps):
-            m = normal_matrix(rng, n, n)
-            delta = norm * m / _spectral_norm(m)
+            delta = norm * ms[k] / s_norms[k]
             # ngd, alpha = 1: e(k+1) = e - (I + Delta) e = -Delta e
             e = -(delta @ e)
             envelope_ok &= np.linalg.norm(e) <= norm ** (k + 1) * e0_norm + 1e-12
@@ -685,14 +690,17 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
 
 
 def _mc_covariance(m_mat, n, seed, burn_in=1000, steps=100000):
-    """Sample covariance of e(k+1) = M e(k) + delta(k), after burn-in."""
-    rng = make_rng(seed)
+    """Sample covariance of e(k+1) = M e(k) + delta(k), after burn-in.  The
+    noise of all burn_in + steps steps is drawn once, in one `normal_rows`
+    call (the same stream as one `normal_vector` per step); the recurrence
+    itself stays a step-by-step loop."""
+    noise = normal_rows(make_rng(seed), burn_in + steps, n)
     e = np.zeros(n)
-    for _ in range(burn_in):
-        e = m_mat @ e + normal_vector(rng, n)
+    for k in range(burn_in):
+        e = m_mat @ e + noise[k]
     rows = np.empty((steps, n))
     for k in range(steps):
-        e = m_mat @ e + normal_vector(rng, n)
+        e = m_mat @ e + noise[burn_in + k]
         rows[k] = e
     return rows.T @ rows / steps
 

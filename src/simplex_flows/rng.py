@@ -3,7 +3,11 @@
 All experiments draw from a counter-based 64-bit generator (Philox), so a
 given seed reproduces the same stream on every platform regardless of how
 many draws other components consumed.  Normal variates are produced by the
-Box-Muller transform on top of the uniform stream.
+Box-Muller transform on top of the uniform stream, in one place:
+``normal_rows(rng, count, dim)``.  Its row k equals, bit for bit, the k-th of
+``count`` successive ``normal_vector(rng, dim)`` calls, and it leaves the
+generator in the same state, so a loop that draws one vector per step can
+draw all of its steps in one call up front.
 """
 
 import numpy as np
@@ -17,18 +21,28 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def normal_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """(count, dim) i.i.d. standard normals via Box-Muller, one row per
+    vector: each row pairs its own (dim + 1) // 2 uniform pairs, lists the
+    cosine halves before the sine halves and drops the last sine when dim
+    is odd."""
+    pairs = (dim + 1) // 2
+    u = rng.random((count, pairs, 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1 - u is in (0, 1], log is finite
+    ang = TWO_PI * u[..., 1]
+    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)
+    return z[:, :dim]
+
+
 def normal_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """dim i.i.d. standard normals via Box-Muller."""
-    pairs = (dim + 1) // 2
-    u = rng.random((pairs, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1 - u is in (0, 1], log is finite
-    ang = TWO_PI * u[:, 1]
-    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])
-    return z[:dim]
+    return normal_rows(rng, 1, dim)[0]
 
 
 def normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return normal_vector(rng, rows * cols).reshape(rows, cols)
+    # one vector of rows*cols, not normal_rows(rng, rows, cols): the cosine
+    # and sine halves are laid out per vector, so the two streams differ
+    return normal_rows(rng, 1, rows * cols).reshape(rows, cols)
 
 
 def random_simplex_point(rng: np.random.Generator, n: int) -> SimplexPoint:

@@ -83,6 +83,15 @@ def test_config_key_must_apply_to_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_key_of_another_command_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("minibatch = 10\n")   # a sweep key, not a kl key
+    code, _, err = run_cli(capsys, "kl", "--q", "0.3,0.3,0.4", "--p",
+                           "0.5,0.25,0.25", "--config", str(cfg))
+    assert code == 2
+    assert "c.ini:1" in err and "minibatch" in err
+
+
 def test_empty_config_uses_defaults(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("# nothing but a comment\n\n")

@@ -9,7 +9,8 @@ from simplex_flows.coords import SimplexPoint, to_eta
 from simplex_flows.errors import InsufficientDecay, WitnessNotFound
 from simplex_flows.flows import Trajectory
 from simplex_flows.geometry import hess_phi, kl
-from simplex_flows.rng import make_rng, random_simplex_point
+from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
+                               random_simplex_point)
 from simplex_flows.spectral import eigh
 
 
@@ -187,3 +188,60 @@ def test_robustness_rejects_unknown_kind():
     q = random_simplex_point(make_rng(5), 2)
     with pytest.raises(ValueError):
         lab.robustness_experiment("nope", q, [0])
+
+
+def _per_step_mc_covariance(m_mat, n, seed, burn_in, steps):
+    # the former _mc_covariance: one normal_vector call per step
+    rng = make_rng(seed)
+    e = np.zeros(n)
+    for _ in range(burn_in):
+        e = m_mat @ e + normal_vector(rng, n)
+    rows = np.empty((steps, n))
+    for k in range(steps):
+        e = m_mat @ e + normal_vector(rng, n)
+        rows[k] = e
+    return rows.T @ rows / steps
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("contraction", [True, False], ids=["gd", "ngd"])
+def test_mc_covariance_equals_per_step_draws(n, contraction):
+    if contraction:
+        q = random_simplex_point(make_rng(n), n)
+        mat = hess_phi(to_eta(q)).entries
+        m_mat = np.eye(n) - (1.0 / np.abs(mat).sum()) * mat
+    else:
+        m_mat = np.zeros((n, n))
+    seed = [0, 17, n]
+    got = lab._mc_covariance(m_mat, n, seed, burn_in=50, steps=2000)
+    want = _per_step_mc_covariance(m_mat, n, seed, burn_in=50, steps=2000)
+    assert np.array_equal(got, want)
+
+
+def _per_step_multiplicative(seeds, n, norm=0.9, steps=400):
+    # the former ngd loop of _robustness_multiplicative: one normal_matrix
+    # and one spectral norm per step
+    final_norms, envelope_ok = [], True
+    for seed in seeds:
+        rng = make_rng(seed)
+        e = normal_vector(rng, n)
+        e = e / np.linalg.norm(e)
+        for k in range(steps):
+            m = normal_matrix(rng, n, n)
+            delta = norm * m / float(np.linalg.norm(m, 2))
+            e = -(delta @ e)
+            envelope_ok &= np.linalg.norm(e) <= norm ** (k + 1) + 1e-12
+        final_norms.append(float(np.linalg.norm(e)))
+    return final_norms, envelope_ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_robustness_multiplicative_equals_per_step_draws(n):
+    q = random_simplex_point(make_rng(5), n)
+    seeds = [0, 1, 2]
+    summary = lab.robustness_experiment("multiplicative", q, seeds)
+    final_norms, envelope_ok = _per_step_multiplicative(seeds, n)
+    assert summary["ngd_final_norms"] == final_norms
+    assert summary["assertions"]["ngd_envelope_0.9^k"] == bool(envelope_ok)
+    assert summary["assertions"]["ngd_converges_all_seeds"] == all(
+        fn < 1e-8 for fn in final_norms)

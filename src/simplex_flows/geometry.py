@@ -142,8 +142,11 @@ def hess_phi(e: EtaCoord) -> SymMatrix:
 
 
 def hess_psi(t: ThetaCoord) -> SymMatrix:
-    """diag(eta) - eta eta^T with eta = grad psi(t); eigenvalues in (0, 1)."""
-    eta = eta_from_theta(t).eta
+    """diag(eta) - eta eta^T with eta = grad psi(t); eigenvalues in (0, 1).
+
+    eta is not built as an EtaCoord: its check 1 - sum(eta) cancels to 0
+    once the last probability is below the sum's roundoff, as at (37, 0)."""
+    eta = simplex_from_theta(t).probs[:-1]
     return SymMatrix(np.diag(eta) - np.outer(eta, eta))
 
 

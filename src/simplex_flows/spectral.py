@@ -1,13 +1,14 @@
-"""Symmetric eigenproblems: cyclic Jacobi solver and a few derived quantities.
+"""Symmetric eigenproblems: one LAPACK eigensolver and a few derived quantities.
 
-One batched Jacobi routine serves both entry points: eigvalsh_batch runs it
-on a stack of matrices, and eigh is a stack of one that also accumulates
-the eigenvectors.  It sweeps all off-diagonal pairs in a fixed row-major
-order and applies Givens rotations until the off-diagonal Frobenius norm
-drops below 1e-15 (relative to the matrix scale).  The fixed order and a
-sign convention on the eigenvectors (largest-magnitude component positive)
-make the output fully deterministic, which downstream experiments rely on
-for byte-identical reruns.
+Both entry points go through one np.linalg.eigh call: eigvalsh_batch
+decomposes a stack of matrices and keeps the values, and eigh is a stack
+of one that also keeps the eigenvectors, so the two return the same
+eigenvalues bit for bit.  LAPACK also resolves the O(1) eigenvalues of
+graded Hessians near a face, whose entries span hundreds of orders of
+magnitude.  Its eigenvector signs are arbitrary, so eigh fixes them by a
+convention (largest-magnitude component positive); with that, the output
+is deterministic on one build, which downstream experiments rely on for
+byte-identical reruns.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,6 @@ import numpy as np
 
 from .coords import EtaCoord
 from .geometry import SymMatrix
-
-OFF_DIAG_TOL = 1e-15
-MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -41,78 +39,35 @@ class EigenDecomposition:
         object.__setattr__(self, "vectors", vecs)
 
 
-def _as_symmetric(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return np.array(m.entries, dtype=float)
-    return SymMatrix(m).entries.copy()
-
-
-def _jacobi(a: np.ndarray, vectors: bool):
-    """Cyclic Jacobi on a (B, n, n) stack, in place; returns the unsorted
-    diagonals and, if asked, the accumulated rotations (else None).
-    Sweeps continue until every matrix of the stack has converged.
-    """
-    b, n, _ = a.shape
-    v = np.broadcast_to(np.eye(n), (b, n, n)).copy() if vectors else None
-    scale = np.maximum(1.0, np.sqrt((a * a).sum(axis=(1, 2))))
-    mask = ~np.eye(n, dtype=bool)
-    for _sweep in range(MAX_SWEEPS):
-        off = np.sqrt((a[:, mask] ** 2).sum(axis=1))
-        if np.all(off < OFF_DIAG_TOL * scale):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                active = np.abs(apq) >= 1e-300
-                if not active.any():
-                    continue
-                tau = (a[:, q, q] - a[:, p, p]) / np.where(active, 2.0 * apq, 1.0)
-                # tau * tau overflows for huge tau; the rotation is then 0
-                with np.errstate(over="ignore"):
-                    t = (np.where(tau >= 0.0, 1.0, -1.0)
-                         / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cc, ss = c[:, None], s[:, None]
-                # A <- G^T A G with G the rotation in the (p, q) plane
-                rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
-                a[:, p, :] = cc * rp - ss * rq
-                a[:, q, :] = ss * rp + cc * rq
-                cp, cq = a[:, :, p].copy(), a[:, :, q].copy()
-                a[:, :, p] = cc * cp - ss * cq
-                a[:, :, q] = ss * cp + cc * cq
-                if vectors:
-                    vp, vq = v[:, :, p].copy(), v[:, :, q].copy()
-                    v[:, :, p] = cc * vp - ss * vq
-                    v[:, :, q] = ss * vp + cc * vq
-    return np.einsum("bii->bi", a), v
+def _eigh_stack(stack):
+    """Ascending eigenvalues (B, n) and eigenvector columns (B, n, n) of a
+    stack of symmetric matrices: the one LAPACK call behind this module."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
+    return np.linalg.eigh(a)
 
 
 def eigh(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix: a stack of one."""
-    diag, v = _jacobi(_as_symmetric(m)[None], vectors=True)
-    order = np.argsort(diag[0], kind="stable")
-    vals = diag[0][order]
-    vecs = v[0][:, order]
+    entries = m.entries if isinstance(m, SymMatrix) else SymMatrix(m).entries
+    vals, vecs = _eigh_stack(entries[None])
+    vecs = vecs[0]
     # sign convention: largest-magnitude component of each vector is positive
-    for j in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return EigenDecomposition(vals, vecs)
+    k = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.where(vecs[k, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    return EigenDecomposition(vals[0], vecs)
 
 
 def eigvalsh_batch(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a stack of symmetric matrices, shape (B, n, n).
 
-    The same Jacobi sweeps as eigh, without accumulating eigenvectors, so
-    sublevel-set scans over thousands of Hessians stay cheap.
+    The same LAPACK call as eigh, one call for the whole stack, so
+    sublevel-set scans over thousands of Hessians stay cheap.  The vectors
+    it also computes are dropped: the values-only driver would differ from
+    eigh in the last bits.
     """
-    a = np.array(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
-    return np.sort(_jacobi(a, vectors=False)[0], axis=1)
+    return _eigh_stack(stack)[0]
 
 
 def cond(m) -> float:

@@ -1,12 +1,14 @@
 """Property-based tests at the numeric edges of the charts."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from simplex_flows.coords import softmax_rows
+from simplex_flows.coords import ThetaCoord, simplex_from_theta, softmax_rows
 from simplex_flows.descent import step_rows
+from simplex_flows.geometry import hess_psi
 from simplex_flows.rng import make_rng, random_simplex_point
+from simplex_flows.spectral import eigh, eigvalsh_batch
 
 # (B, n) exponential-coordinate rows up to the edge of exp's range
 THETA_ROWS = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
@@ -25,3 +27,20 @@ def test_softmax_rows_are_probability_rows(theta):
 def test_gd_theta_step_stays_finite_at_extreme_theta(theta, alpha, seed):
     target = random_simplex_point(make_rng(seed), theta.shape[1]).probs[:-1]
     assert np.all(np.isfinite(step_rows("gd_theta", theta, target, alpha)))
+
+
+@given(arrays(np.float64, st.integers(1, 12), elements=st.floats(-300.0, 300.0)))
+def test_hess_psi_spectrum_at_large_theta(theta):
+    t = ThetaCoord(theta)
+    try:
+        simplex_from_theta(t)
+    except ValueError:
+        assume(False)
+    h = hess_psi(t)
+    dec = eigh(h)
+    vals = dec.values
+    assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) >= 0.0)
+    assert vals[0] >= -1e-14 and vals[-1] < 1.0
+    assert vals.tobytes() == eigvalsh_batch(h.entries[None])[0].tobytes()
+    cols = np.arange(vals.size)
+    assert np.all(dec.vectors[np.abs(dec.vectors).argmax(axis=0), cols] > 0)

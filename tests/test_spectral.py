@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplex_flows import lab
-from simplex_flows.coords import to_eta, to_theta
+from simplex_flows.coords import EtaCoord, to_eta, to_theta
 from simplex_flows.geometry import SymMatrix, hess_phi, hess_psi
 from simplex_flows.rng import make_rng, normal_matrix, random_simplex_point
 from simplex_flows.spectral import (EigenDecomposition, cond, eigh,
@@ -35,6 +35,9 @@ def test_eigh_reconstruction_and_orthogonality():
         recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
         assert np.abs(recon - a).max() < 1e-10 * max(1.0, np.abs(a).max())
         assert np.abs(dec.vectors.T @ dec.vectors - np.eye(6)).max() < 1e-12
+        # sign convention: largest-magnitude component of each column > 0
+        cols = np.arange(6)
+        assert np.all(dec.vectors[np.abs(dec.vectors).argmax(axis=0), cols] > 0)
 
 
 def test_eigh_is_deterministic():
@@ -53,6 +56,18 @@ def test_eigh_handles_tiny_off_diagonals():
     assert np.abs(dec.values - ref).max() < 1e-13
     recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
     assert np.abs(recon - a).max() < 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-60, 1e-140])
+def test_eigh_resolves_graded_hessians(eps):
+    # eta = (eps, a, a): (0, 1, -1) is an exact eigenvector of hess_phi with
+    # eigenvalue 1/a, however many orders of magnitude eps sits below a
+    a = 0.3
+    h = hess_phi(EtaCoord([eps, a, a])).entries
+    dec = eigh(h)
+    assert np.abs(dec.values - 1.0 / a).min() <= 1e-12 / a
+    recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+    assert np.abs(recon - h).max() <= 1e-13 * np.linalg.norm(h, 2)
 
 
 def test_eigvalsh_batch_matches_reference():
@@ -151,7 +166,8 @@ def test_eigh_values_equal_batch_of_one_bit_for_bit(n):
 
 
 def test_rate_bounds_pool_emits_no_runtime_warning():
-    # the n = 10 pool holds Hessians whose Jacobi tau * tau overflows
+    # the n = 10 pool holds Hessians whose entries span many orders of
+    # magnitude; decomposing them must not overflow or divide by zero
     rng = make_rng(0)
     q = lab.draw_instance(rng, 10)
     p0 = random_simplex_point(rng, 10)

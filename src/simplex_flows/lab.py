@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coords import SimplexPoint, ThetaCoord, to_eta, to_theta
+from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, softmax_rows,
+                     to_eta, to_theta)
 from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
                       probs_rows, state_rows, step_rows, valid_rows)
 from .empirical import Dataset, empirical_target, run_empirical
@@ -36,6 +37,7 @@ NEAR_OPT_KL = 0.05
 DEFAULT_T_END = {2: 1.5}  # every other n defaults to 2.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLE_EVERY = 10
+WITNESS_BLOCK = 256  # probes drawn and screened at once; bounds scan memory
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +751,49 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
 # --- nonconvexity witness ---------------------------------------------------
 
 
+def _probe(f, probe: int, th_a: np.ndarray, th_b: np.ndarray):
+    """One probe of the witness search in scalar arithmetic: the witness
+    dict if the midpoint leaves the endpoints' sublevel set, else None.
+    A point the loss cannot represent raises ValueError naming it."""
+    if np.linalg.norm(th_a - th_b) < 1e-6:
+        return None  # degenerate pair carries no information
+    th_mid = 0.5 * (th_a + th_b)
+    values = {}
+    for name, key, th in (("theta_a", "f_a", th_a), ("theta_b", "f_b", th_b),
+                          ("theta_mid", "f_mid", th_mid)):
+        try:
+            values[key] = f(th)
+        except ValueError as exc:
+            raise ValueError(f"probe {probe}: {name}: {exc}") from exc
+    level = max(values["f_a"], values["f_b"])
+    if values["f_mid"] > level + 1e-9 * max(1.0, abs(level)):
+        return {"theta_a": th_a, "theta_b": th_b, "theta_mid": th_mid,
+                "values": {**values, "level": level}, "probes": probe}
+    return None
+
+
+def _screen_losses(loss: str, theta_rows: np.ndarray, p: SimplexPoint):
+    """The witness loss of every row of theta_rows, summed by numpy.
+
+    Returns (f, err, ok).  err bounds |f - scalar f| row by row:
+    4 (n+1) eps sum_i q_i (1 + |log q_i| + |log r_i|) for f = sum_i
+    q_i (log q_i - log r_i).  Half of it covers any two summation orders
+    of the n+1 terms (np.dot fuses multiply-adds, a row sum does not),
+    half a last-bit difference in a probability or its log.  ok is False
+    where the scalar path could raise: an entry below 2 MIN_PROB.  (The
+    rows sum to 1 within (n+2) eps, far inside SimplexPoint's SUM_TOL.)
+    """
+    probs = softmax_rows(theta_rows)
+    logs = np.log(probs)
+    log_p = np.log(p.probs)
+    q, log_q, log_r = ((probs, logs, log_p) if loss == "Lstar"
+                       else (p.probs, log_p, logs))
+    f = (q * (log_q - log_r)).sum(axis=1)
+    scale = (q * (1.0 + np.abs(log_q) + np.abs(log_r))).sum(axis=1)
+    err = 4 * (p.n + 1) * np.finfo(float).eps * scale
+    return f, err, probs.min(axis=1) >= 2 * MIN_PROB
+
+
 def nonconvexity_witness(p: SimplexPoint, search_seed: int,
                          budget: int = 10000, box: float = 8.0,
                          loss: str = "Lstar") -> dict:
@@ -759,28 +804,49 @@ def nonconvexity_witness(p: SimplexPoint, search_seed: int,
     (so both endpoints sit in a sublevel set the midpoint leaves).  For
     loss="Lstar" (KL with the moving point as first argument) a witness
     exists for asymmetric p; for loss="Lq" convexity guarantees none.
+
+    The probes are drawn in blocks of WITNESS_BLOCK with one
+    rng.random((k, 2, n)) call each, the same Philox stream as one (2, n)
+    draw per probe, so memory stays bounded at any budget.  A block is
+    screened in rows: the three losses of every probe come from one
+    softmax_rows and one np.log, and a probe is a candidate when its
+    acceptance margin f_mid - level - 1e-9 max(1, |level|) lies above
+    -band, where band = 2 (err_a + err_b + err_mid) covers the distance
+    between the row sums and np.dot (see _screen_losses).  Candidates,
+    near-degenerate pairs and rows the scalar path could reject are
+    re-checked in order by the scalar loss through ThetaCoord and
+    SimplexPoint, which decides the skip, the test and the returned
+    values.  So the result, or the ValueError of the first probe holding
+    an unrepresentable point, is the one a probe-by-probe loop gives.
     """
     if loss not in ("Lstar", "Lq"):
         raise ValueError(f"unknown loss {loss!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if not (np.isfinite(box) and box > 0):
+        raise ValueError(f"box must be finite and positive, got {box}")
     f = ((lambda th: loss_Lstar_theta(ThetaCoord(th), p)) if loss == "Lstar"
          else (lambda th: loss_Lq_theta(ThetaCoord(th), p)))
     rng = make_rng(search_seed)
     n = p.n
-    for probe in range(1, budget + 1):
-        pair = (2.0 * rng.random((2, n)) - 1.0) * box
-        th_a, th_b = pair[0], pair[1]
-        if np.linalg.norm(th_a - th_b) < 1e-6:
-            continue  # degenerate pair carries no information
-        level = max(f(th_a), f(th_b))
-        th_mid = 0.5 * (th_a + th_b)
-        f_mid = f(th_mid)
-        if f_mid > level + 1e-9 * max(1.0, abs(level)):
-            return {
-                "theta_a": th_a, "theta_b": th_b, "theta_mid": th_mid,
-                "values": {"f_a": f(th_a), "f_b": f(th_b), "f_mid": f_mid,
-                           "level": level},
-                "probes": probe,
-            }
+    for start in range(0, budget, WITNESS_BLOCK):
+        k = min(WITNESS_BLOCK, budget - start)
+        pairs = (2.0 * rng.random((k, 2, n)) - 1.0) * box
+        points = np.concatenate([pairs, 0.5 * (pairs[:, :1] + pairs[:, 1:])],
+                                axis=1)
+        # an underflowed row gives log 0 and NaN margins; ok sends it on
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_rows, err, ok = _screen_losses(loss, points.reshape(-1, n), p)
+            f_a, f_b, f_mid = f_rows.reshape(k, 3).T
+            level = np.maximum(f_a, f_b)
+            margin = f_mid - level - 1e-9 * np.maximum(1.0, np.abs(level))
+        band = 2.0 * err.reshape(k, 3).sum(axis=1)
+        check = (~ok.reshape(k, 3).all(axis=1) | (margin > -band)
+                 | (np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1) < 2e-6))
+        for i in np.flatnonzero(check):
+            witness = _probe(f, start + int(i) + 1, pairs[i, 0], pairs[i, 1])
+            if witness is not None:
+                return witness
     raise WitnessNotFound(f"no midpoint violation in {budget} probes")
 
 

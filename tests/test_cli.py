@@ -140,6 +140,24 @@ def test_nonconvexity_command(capsys):
     assert "witness_found = true" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--budget", "-3"], "budget must be at least 1, got -3"),
+    (["--budget", "0"], "budget must be at least 1, got 0"),
+    (["--box", "0"], "box must be finite and positive, got 0.0"),
+    (["--box", "inf"], "box must be finite and positive, got inf"),
+], ids=["budget", "budget-0", "box", "box-inf"])
+def test_nonconvexity_rejects_bad_input_before_probing(capsys, argv, message):
+    code, out, err = run_cli(capsys, "nonconvexity", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_nonconvexity_underflow_names_probe_and_point(capsys):
+    code, out, err = run_cli(capsys, "nonconvexity", "--box", "800")
+    assert (code, out) == (2, "")
+    assert err == ("error: probe 1: theta_a: probabilities must be strictly "
+                   "positive (min entry 0)\n")
+
+
 def test_sections_output_files(tmp_path, capsys):
     out_dir = tmp_path / "sec"
     code, _, _ = run_cli(capsys, "sections", "--n", "2", "--out", str(out_dir))

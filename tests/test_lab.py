@@ -3,12 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplex_flows import lab
-from simplex_flows.coords import SimplexPoint, to_eta
+from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.errors import InsufficientDecay, WitnessNotFound
 from simplex_flows.flows import Trajectory
-from simplex_flows.geometry import hess_phi, kl
+from simplex_flows.geometry import (hess_phi, kl, loss_Lq_theta,
+                                    loss_Lstar_theta)
 from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
                                random_simplex_point)
 from simplex_flows.spectral import eigh
@@ -144,6 +146,103 @@ def test_witness_found_for_asymmetric_target_only():
         lab.nonconvexity_witness(p, search_seed=0, budget=500, loss="Lq")
     with pytest.raises(ValueError):
         lab.nonconvexity_witness(p, 0, loss="nope")
+
+
+def _witness_loss(loss, p):
+    return ((lambda th: loss_Lstar_theta(ThetaCoord(th), p)) if loss == "Lstar"
+            else (lambda th: loss_Lq_theta(ThetaCoord(th), p)))
+
+
+def _witness_per_probe(p, search_seed, budget, box, loss):
+    """The witness search drawing and testing one probe at a time, as it
+    was before the block scan; returns the witness or the exception."""
+    f = _witness_loss(loss, p)
+    rng = make_rng(search_seed)
+    n = p.n
+    for probe in range(1, budget + 1):
+        pair = (2.0 * rng.random((2, n)) - 1.0) * box
+        th_a, th_b = pair[0], pair[1]
+        if np.linalg.norm(th_a - th_b) < 1e-6:
+            continue  # degenerate pair carries no information
+        th_mid = 0.5 * (th_a + th_b)
+        try:
+            level = max(f(th_a), f(th_b))
+            f_mid = f(th_mid)
+        except ValueError as exc:
+            points = (("theta_a", th_a), ("theta_b", th_b),
+                      ("theta_mid", th_mid))
+            name = next(name for name, th in points
+                        if isinstance(_outcome(lambda: f(th)), ValueError))
+            return ValueError(f"probe {probe}: {name}: {exc}")
+        if f_mid > level + 1e-9 * max(1.0, abs(level)):
+            return {
+                "theta_a": th_a, "theta_b": th_b, "theta_mid": th_mid,
+                "values": {"f_a": f(th_a), "f_b": f(th_b), "f_mid": f_mid,
+                           "level": level},
+                "probes": probe,
+            }
+    return WitnessNotFound(f"no midpoint violation in {budget} probes")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, WitnessNotFound) as exc:
+        return exc
+
+
+def _assert_same_witness(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return
+    assert got["probes"] == expected["probes"]
+    for key in ("theta_a", "theta_b", "theta_mid"):
+        assert np.array_equal(got[key], expected[key])
+    assert got["values"] == expected["values"]
+
+
+WITNESS_TARGETS = [SimplexPoint(np.array([0.7, 0.2, 0.1])),
+                   random_simplex_point(make_rng(5), 10)]
+
+
+@pytest.mark.parametrize("box", [0.5, 8.0, 30.0, 350.0, 800.0])
+@pytest.mark.parametrize("budget", [1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("loss", ["Lstar", "Lq"])
+@pytest.mark.parametrize("p", WITNESS_TARGETS, ids=["n2", "n10"])
+def test_witness_scan_equals_per_probe_loop(p, loss, budget, box):
+    # box 350 at n = 2 first underflows at probe 1068, past a block boundary
+    got = _outcome(lambda: lab.nonconvexity_witness(p, 0, budget, box, loss))
+    _assert_same_witness(got, _witness_per_probe(p, 0, budget, box, loss))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 3000), st.floats(0.01, 1000.0),
+       st.sampled_from(["Lstar", "Lq"]))
+def test_witness_scan_equals_per_probe_loop_property(seed, budget, box, loss):
+    p = WITNESS_TARGETS[0]
+    got = _outcome(lambda: lab.nonconvexity_witness(p, seed, budget, box,
+                                                    loss))
+    _assert_same_witness(got, _witness_per_probe(p, seed, budget, box, loss))
+
+
+@pytest.mark.parametrize("loss", ["Lstar", "Lq"])
+@pytest.mark.parametrize("p", WITNESS_TARGETS, ids=["n2", "n10"])
+def test_witness_screen_within_its_band_of_scalar_loss(p, loss):
+    # the screen may only pass over a probe the scalar loss would neither
+    # accept nor reject, so its error bound and its ok flags are checked
+    f = _witness_loss(loss, p)
+    rng = make_rng(1)
+    for box in (0.5, 8.0, 30.0, 350.0):
+        rows = (2.0 * rng.random((300, p.n)) - 1.0) * box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, err, ok = lab._screen_losses(loss, rows, p)
+        for th, value, bound, good in zip(rows, values, err, ok):
+            exact = _outcome(lambda: f(th))
+            if isinstance(exact, ValueError):
+                assert not good
+            elif good:
+                assert abs(value - exact) <= bound
 
 
 def test_local_sections_ordering():

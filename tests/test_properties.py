@@ -4,12 +4,14 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from simplex_flows.coords import ThetaCoord, simplex_from_theta, softmax_rows
+from simplex_flows.coords import (ThetaCoord, psi, simplex_from_theta,
+                                  softmax_rows, to_eta)
 from simplex_flows.descent import step_rows
-from simplex_flows.geometry import hess_psi
+from simplex_flows.geometry import bregman_phi, bregman_psi, hess_psi, kl
 from simplex_flows.rng import make_rng, random_simplex_point
 from simplex_flows.spectral import eigh, eigvalsh_batch
 
+EPS = np.finfo(float).eps
 # (B, n) exponential-coordinate rows up to the edge of exp's range
 THETA_ROWS = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
                     elements=st.floats(-700.0, 700.0))
@@ -44,3 +46,20 @@ def test_hess_psi_spectrum_at_large_theta(theta):
     assert vals.tobytes() == eigvalsh_batch(h.entries[None])[0].tobytes()
     cols = np.arange(vals.size)
     assert np.all(dec.vectors[np.abs(dec.vectors).argmax(axis=0), cols] > 0)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(-30.0, 30.0)),
+    arrays(np.float64, n, elements=st.floats(-30.0, 30.0)))))
+def test_bregman_divergences_equal_kl(thetas):
+    # bregman_phi goes through eta: p_{n+1} = 1 - sum(eta_p) is exact only
+    # to eps absolute, so theta_p, and with it the divergence, is good to
+    # about eps max(1, KL) / min_i p_i.  bregman_psi subtracts potentials:
+    # psi(theta_q) = -log q_{n+1}, up to ~32 here, leaves eps psi(theta_q)
+    # even where p is near uniform (theta_p = 0, theta_q = 28 at n = 1).
+    tp, tq = ThetaCoord(thetas[0]), ThetaCoord(thetas[1])
+    p, q = simplex_from_theta(tp), simplex_from_theta(tq)
+    d = kl(q, p)
+    tol = 4.0 * EPS * (max(1.0, d) / p.probs.min() + psi(tq))
+    assert abs(bregman_psi(tp, tq) - d) <= tol
+    assert abs(bregman_phi(to_eta(q), to_eta(p)) - d) <= tol

@@ -17,8 +17,8 @@ from .descent import (DescentSpec, NoiseModel, destabilizing_delta,
 from .empirical import (Dataset, SgdSchedule, convergence_time,
                         empirical_kl, empirical_target, run_empirical,
                         sample_dataset)
-from .errors import (BoundaryEscape, InsufficientDecay, NonFinite,
-                     SimplexFlowsError, WitnessNotFound, ZeroCount)
+from .errors import (BoundaryEscape, ExperimentFailure, InsufficientDecay,
+                     NonFinite, SimplexFlowsError, WitnessNotFound, ZeroCount)
 from .flows import FlowSpec, Trajectory, integrate, integrate_batch, natural_flow_exact
 from .geometry import (AffineChart, SymMatrix, bregman_phi, bregman_psi,
                        grad_Lq_eta, grad_Lq_theta, grad_Lstar_eta,

@@ -28,3 +28,8 @@ class InsufficientDecay(SimplexFlowsError):
 class WitnessNotFound(SimplexFlowsError):
     """Random search exhausted its probe budget without finding a
     counterexample to convexity."""
+
+
+class ExperimentFailure(SimplexFlowsError):
+    """An experiment could not set up its inputs within its budget, such as
+    a balanced target or a start near the optimum."""

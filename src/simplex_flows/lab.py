@@ -8,6 +8,7 @@ digits so reruns with the same seed are byte-identical.
 """
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, softmax_rows,
 from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
                       probs_rows, state_rows, step_rows, valid_rows)
 from .empirical import Dataset, empirical_target, run_empirical
-from .errors import InsufficientDecay, WitnessNotFound, ZeroCount
+from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
+                     ZeroCount)
 from .flows import integrate_batch
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
                        loss_Lstar_theta, make_identity_chart)
@@ -38,6 +40,13 @@ DEFAULT_T_END = {2: 1.5}  # every other n defaults to 2.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLE_EVERY = 10
 WITNESS_BLOCK = 256  # probes drawn and screened at once; bounds scan memory
+# Monte Carlo chain: steps per block scan, whose (n, L, L) power stack is
+# n * 32 KiB (L = 256 would make it 1 MiB at n = 2), and steps of noise drawn
+# and reduced at once, which bounds the chain's working memory to a few
+# (chunk, n) arrays however long the chain runs (a 16,384-step chunk raised
+# the descent-noise benchmark's peak RSS by 0.18 MiB; 4,096 steps did not)
+MC_BLOCK = 64
+MC_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +272,7 @@ def draw_near(q: SimplexPoint, p0: SimplexPoint,
         if kl(q, cand) <= kl_max:
             return cand
         s *= 0.7
-    raise ValueError("could not shrink p0 into the near-optimum regime")
+    raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
 
 
 def draw_instance(rng, n: int, balance: float = 0.3) -> SimplexPoint:
@@ -277,7 +286,7 @@ def draw_instance(rng, n: int, balance: float = 0.3) -> SimplexPoint:
         q = random_simplex_point(rng, n)
         if q.probs.min() >= balance / (n + 1):
             return q
-    raise ValueError("could not draw a balanced target; lower balance")
+    raise ExperimentFailure("could not draw a balanced target; lower balance")
 
 
 def sandwich_experiment(n: int, n_inits: int, seed: int,
@@ -616,7 +625,15 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
     additive: the stationary covariance of the error matches the discrete
     Lyapunov solution (and its top eigenvalue the closed form
     (kappa+1)^2 / (4 kappa)); for natural-gradient descent it is exactly
-    the identity.
+    the identity.  The Monte Carlo side runs one chain per method in M's
+    eigenbasis, in blocks and streamed chunks (`_mc_covariance`).  A gd
+    chain's slowest mode, mu = (kappa-1)/(kappa+1), stays correlated for
+    about kappa steps, so over N steps its variance has a relative standard
+    error of about sqrt(kappa/N) (Bartlett; Priestley, Spectral Analysis
+    and Time Series, 5.3): N = max(100,000, 3600 kappa) steps make the 5%
+    check at least a 3-sigma bound, after a burn-in of
+    max(1,000, 2.5 (kappa+1)) steps that leaves mu^(2 burn_in) < e^-10 of
+    the zero start.  The ngd chain is white noise and keeps 100,000 steps.
     """
     if kind not in ("multiplicative", "additive"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -691,20 +708,52 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
     }
 
 
-def _mc_covariance(m_mat, n, seed, burn_in=1000, steps=100000):
-    """Sample covariance of e(k+1) = M e(k) + delta(k), after burn-in.  The
-    noise of all burn_in + steps steps is drawn once, in one `normal_rows`
-    call (the same stream as one `normal_vector` per step); the recurrence
-    itself stays a step-by-step loop."""
-    noise = normal_rows(make_rng(seed), burn_in + steps, n)
-    e = np.zeros(n)
-    for k in range(burn_in):
-        e = m_mat @ e + noise[k]
-    rows = np.empty((steps, n))
-    for k in range(steps):
-        e = m_mat @ e + noise[burn_in + k]
-        rows[k] = e
-    return rows.T @ rows / steps
+def _mc_covariance(mu, vectors, seed, burn_in=1000, steps=100000):
+    """Sample covariance of e(k+1) = M e(k) + w(k), w ~ N(0, I), e(0) = 0,
+    over the `steps` states after `burn_in`, for a symmetric
+    M = U diag(mu) U^T given by its eigenvalues `mu` and eigenvectors
+    `vectors` = U.
+
+    In M's eigenbasis, z = e U, each mode is an independent scalar AR(1),
+    z_m(k+1) = mu_m z_m(k) + (w U)_m(k).  The modes advance MC_BLOCK steps
+    at a time: one batched matmul with the lower-triangular powers
+    T[m, j, i] = mu_m^(j-i) gives every block's states from a zero start,
+    and the state entering a block adds mu^(j+1) times itself at step j.
+    The noise is drawn MC_CHUNK steps at a time by `normal_rows`, the same
+    stream as one call for the whole chain (or one `normal_vector` per
+    step), and z^T z is summed chunk by chunk, so the chain is never held
+    whole; the result is U (z^T z / steps) U^T.  It matches the
+    step-by-step recurrence up to roundoff (within 1e-12 of max |P|); with
+    mu = 0 and U = I it is the noise's own w^T w / steps.
+    """
+    mu = np.asarray(mu, dtype=float)
+    n = mu.size
+    j = np.arange(MC_BLOCK)
+    lag = j[None, :] - j[:, None]  # lag[i, j] = j - i
+    # powers[m, i, j] = mu_m^(j - i) for j >= i: block noise @ powers = states
+    powers = np.where(lag >= 0, mu[:, None, None] ** np.maximum(lag, 0), 0.0)
+    rise = mu[:, None] ** (j + 1)
+    gain = rise[:, -1]
+    rng = make_rng(seed)
+    total = burn_in + steps
+    state = np.zeros(n)
+    acc = np.zeros((n, n))
+    for start in range(0, total, MC_CHUNK):
+        count = min(MC_CHUNK, total - start)
+        blocks = -(-count // MC_BLOCK)
+        w = np.zeros((n, blocks * MC_BLOCK))
+        w[:, :count] = (normal_rows(rng, count, n) @ vectors).T
+        y = w.reshape(n, blocks, MC_BLOCK) @ powers
+        enter = np.empty((n, blocks))
+        for b in range(blocks):
+            enter[:, b] = state
+            state = gain * state + y[:, b, -1]
+        z = (y + rise[:, None, :] * enter[:, :, None]).reshape(n, -1)
+        state = z[:, count - 1]  # a partial last block ran on zero padding
+        z = np.ascontiguousarray(z[:, max(burn_in - start, 0):count].T)
+        acc += z.T @ z
+    cov = vectors @ (acc / steps) @ vectors.T
+    return 0.5 * (cov + cov.T)
 
 
 def _robustness_additive(q, q_eta, q_theta, seeds):
@@ -713,16 +762,21 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
     report = {}
     ok_resid = ok_analytic = ok_mc = True
     for sub, (name, mat) in enumerate((("gd_eta", q_eta), ("gd_theta", q_theta))):
+        dec = eigh(mat)
         alpha = optimal_lr(mat, "optimal")
         kappa = cond(mat)
-        p_stat = solve_lyapunov(mat, alpha).entries
+        p_stat = solve_lyapunov(dec, alpha).entries
         m_mat = np.eye(n) - alpha * mat
         resid = float(np.abs(m_mat @ p_stat @ m_mat + np.eye(n) - p_stat).max())
         lam_max = float(eigh(p_stat).values[-1])
         closed_form = (kappa + 1.0) ** 2 / (4.0 * kappa)
-        mc = _mc_covariance(m_mat, n, seed=[seed0, 17, sub])
+        # chain length by kappa: see robustness_experiment
+        steps = max(100_000, math.ceil(3600.0 * kappa))
+        burn_in = max(1000, math.ceil(2.5 * (kappa + 1.0)))
+        mc = _mc_covariance(1.0 - alpha * dec.values, dec.vectors,
+                            [seed0, 17, sub], burn_in, steps)
         entry_dev = float(np.abs(mc - p_stat).max())
-        mc_lam = float(np.linalg.eigvalsh(mc).max())
+        mc_lam = float(eigh(mc).values[-1])
         ok_resid &= resid < 1e-10
         ok_analytic &= abs(lam_max - closed_form) < 1e-8
         ok_mc &= entry_dev <= 0.05 * lam_max and abs(mc_lam - lam_max) <= 0.05 * lam_max
@@ -733,7 +787,7 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
             "mc_entry_dev": entry_dev, "mc_lambda_max": mc_lam,
         }
     # ngd at alpha = 1: errors are exactly the i.i.d. noise, covariance I
-    mc_ngd = _mc_covariance(np.zeros((n, n)), n, seed=[seed0, 17, 999])
+    mc_ngd = _mc_covariance(np.zeros(n), np.eye(n), [seed0, 17, 999])
     ngd_dev = float(np.abs(mc_ngd - np.eye(n)).max())
     report["ngd"] = {"mc_entry_dev": ngd_dev}
     return {

@@ -103,9 +103,11 @@ def solve_lyapunov(q_matrix, alpha: float) -> SymMatrix:
 
     With M = I - alpha Q symmetric, the fixed point of P -> M P M + I is
     U diag(1/(1 - mu_i^2)) U^T where mu_i are M's eigenvalues; it exists only
-    if the spectral radius of M is below 1.
+    if the spectral radius of M is below 1.  q_matrix may also be given as
+    its EigenDecomposition, so a caller that needs Q's eigenbasis anyway
+    decomposes it once.
     """
-    dec = eigh(q_matrix)
+    dec = q_matrix if isinstance(q_matrix, EigenDecomposition) else eigh(q_matrix)
     mu = 1.0 - alpha * dec.values
     rho = float(np.abs(mu).max())
     if rho >= 1.0:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from simplex_flows import lab
+from simplex_flows.coords import SimplexPoint
 from simplex_flows.rng import make_rng, random_simplex_point
 
 
@@ -30,6 +32,20 @@ def fd_hessian(f, x, h=1e-4):
                 f(x + ei + ej) - f(x + ei - ej)
                 - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h * h)
     return hess
+
+
+@pytest.fixture
+def lopsided_draws(monkeypatch):
+    """Every target draw in lab has a smallest probability of 1e-3, below
+    draw_instance's balance floor 0.3 / (n + 1) for any n up to 298."""
+    points = {}
+
+    def draw(rng, n):
+        if n not in points:
+            points[n] = SimplexPoint(np.append(1e-3, np.full(n, (1.0 - 1e-3) / n)))
+        return points[n]
+
+    monkeypatch.setattr(lab, "random_simplex_point", draw)
 
 
 def interior_point(rng, n, margin=0.05):

@@ -48,6 +48,12 @@ def test_selftest(capsys):
     assert "natural_flow_matches_exact = true" in out
 
 
+def test_experiment_failure_exits_1(capsys, lopsided_draws):
+    code, out, err = run_cli(capsys, "sandwich", "--n", "2", "--inits", "2")
+    assert code == 1
+    assert "failure: could not draw a balanced target" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from simplex_flows import lab
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
-from simplex_flows.errors import InsufficientDecay, WitnessNotFound
+from simplex_flows.errors import (ExperimentFailure, InsufficientDecay,
+                                  WitnessNotFound)
 from simplex_flows.flows import Trajectory
 from simplex_flows.geometry import (hess_phi, kl, loss_Lq_theta,
                                     loss_Lstar_theta)
@@ -108,6 +109,19 @@ def test_draw_instance_is_balanced():
     for n in (2, 10):
         q = lab.draw_instance(rng, n)
         assert q.probs.min() >= 0.3 / (n + 1)
+
+
+def test_draw_near_out_of_reach_is_an_experiment_failure():
+    rng = make_rng(0)
+    q = random_simplex_point(rng, 3)
+    p0 = random_simplex_point(rng, 3)
+    with pytest.raises(ExperimentFailure, match="could not shrink p0"):
+        lab.draw_near(q, p0, kl_max=-1.0)
+
+
+def test_unbalanced_draws_are_an_experiment_failure(lopsided_draws):
+    with pytest.raises(ExperimentFailure, match="balanced target"):
+        lab.draw_instance(make_rng(0), 2)
 
 
 def test_rate_bounds_bracket_curvature_at_optimum():
@@ -302,19 +316,88 @@ def _per_step_mc_covariance(m_mat, n, seed, burn_in, steps):
     return rows.T @ rows / steps
 
 
+# The block scan and the step loop round differently: each sums a state's
+# noise terms in its own order, and the loop's M = U diag(mu) U^T is itself
+# rounded, which moves mu^p by about p * 1.1e-16.  Both errors grow with the
+# chain's memory K = min(burn_in + steps, 1 / (1 - max |mu|)) and with n.
+# Every chain below has K * n <= 2,730 (the first test's n = 10 case); over
+# 7,000 random spectra in that range the worst difference measured was
+# 5.3e-13 of max |P| (4e-15 in the first test), so the bound is 1e-12.
+MC_RTOL = 1e-12
+
+
+def _assert_mc_close(got, want):
+    assert np.abs(got - want).max() <= MC_RTOL * np.abs(want).max()
+
+
+def _orthogonal(n, seed):
+    # a random orthogonal basis, far from symmetric for n >= 3
+    return np.linalg.qr(normal_matrix(make_rng(seed), n, n))[0]
+
+
 @pytest.mark.parametrize("n", [2, 10])
 @pytest.mark.parametrize("contraction", [True, False], ids=["gd", "ngd"])
 def test_mc_covariance_equals_per_step_draws(n, contraction):
+    seed = [0, 17, n]
     if contraction:
         q = random_simplex_point(make_rng(n), n)
         mat = hess_phi(to_eta(q)).entries
-        m_mat = np.eye(n) - (1.0 / np.abs(mat).sum()) * mat
+        alpha = 1.0 / np.abs(mat).sum()
+        dec = eigh(mat)
+        got = lab._mc_covariance(1.0 - alpha * dec.values, dec.vectors, seed,
+                                 burn_in=50, steps=2000)
+        want = _per_step_mc_covariance(np.eye(n) - alpha * mat, n, seed,
+                                       burn_in=50, steps=2000)
+        _assert_mc_close(got, want)
     else:
-        m_mat = np.zeros((n, n))
-    seed = [0, 17, n]
-    got = lab._mc_covariance(m_mat, n, seed, burn_in=50, steps=2000)
-    want = _per_step_mc_covariance(m_mat, n, seed, burn_in=50, steps=2000)
-    assert np.array_equal(got, want)
+        # M = 0, U = I: the chain is the noise itself, bit for bit
+        got = lab._mc_covariance(np.zeros(n), np.eye(n), seed,
+                                 burn_in=50, steps=2000)
+        want = _per_step_mc_covariance(np.zeros((n, n)), n, seed,
+                                       burn_in=50, steps=2000)
+        assert np.array_equal(got, want)
+
+
+def _check_against_per_step(mu, vectors, seed, burn_in, steps):
+    n = len(mu)
+    m_mat = vectors @ np.diag(mu) @ vectors.T
+    got = lab._mc_covariance(mu, vectors, seed, burn_in, steps)
+    want = _per_step_mc_covariance(m_mat, n, seed, burn_in, steps)
+    _assert_mc_close(got, want)
+    return got
+
+
+@pytest.mark.parametrize("block, chunk", [(7, 100), (64, 96), (5, 5), (1, 7)])
+def test_mc_covariance_does_not_depend_on_block_or_chunk(monkeypatch, block,
+                                                         chunk):
+    # steps and burn_in are multiples of neither block nor chunk, and the
+    # burn-in of 150 ends inside a chunk (or on a boundary for chunk 5)
+    kappa = 40.0
+    mu = np.array([-(kappa - 1) / (kappa + 1), 0.0, 0.5, 0.97])
+    vectors = _orthogonal(4, 3)
+    seed, burn_in, steps = [1, 17, 0], 150, 1003
+    default = lab._mc_covariance(mu, vectors, seed, burn_in, steps)
+    monkeypatch.setattr(lab, "MC_BLOCK", block)
+    monkeypatch.setattr(lab, "MC_CHUNK", chunk)
+    got = _check_against_per_step(mu, vectors, seed, burn_in, steps)
+    _assert_mc_close(got, default)
+
+
+@pytest.mark.parametrize("kappa", [3.0, 112.0, 1791.0])
+def test_mc_covariance_negative_and_zero_modes(kappa):
+    # the optimal step size puts the fastest mode at -(kappa-1)/(kappa+1),
+    # which alternates in sign every step; a mode at 0 is white noise
+    mu = np.array([-(kappa - 1) / (kappa + 1), 0.0, (kappa - 1) / (kappa + 1)])
+    _check_against_per_step(mu, _orthogonal(3, 4), [2, 17, 1], 70, 400)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-0.9999, 0.9999), min_size=1, max_size=5),
+       st.integers(0, 2 ** 16), st.integers(0, 200), st.integers(1, 300))
+def test_mc_covariance_matches_per_step_property(mu, seed, burn_in, steps):
+    mu = np.array(mu)
+    _check_against_per_step(mu, _orthogonal(mu.size, seed), [seed, 17, 5],
+                            burn_in, steps)
 
 
 def _per_step_multiplicative(seeds, n, norm=0.9, steps=400):

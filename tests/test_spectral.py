@@ -126,6 +126,8 @@ def test_solve_lyapunov_fixed_point():
     p = solve_lyapunov(q, alpha).entries
     m = np.eye(4) - alpha * q
     assert np.abs(m @ p @ m + np.eye(4) - p).max() < 1e-10
+    # given Q's decomposition instead of Q, the same solve
+    assert np.array_equal(solve_lyapunov(eigh(q), alpha).entries, p)
 
 
 def test_solve_lyapunov_scalar_case():

@@ -9,6 +9,7 @@ config file (--config), then explicit command-line flags.  Exit codes:
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,6 +35,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError("grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {lo}:{hi}")
     if count < 1 or lo <= 0 or hi < lo:
         raise ValueError("grid must satisfy 0 < lo <= hi, count >= 1")
     return [lo] if count == 1 else list(np.linspace(lo, hi, count))

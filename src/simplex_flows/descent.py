@@ -16,7 +16,8 @@ eta_q at step size alpha:
 
 One batched kernel, step_rows, updates (B, n) rows of states; run, the
 minibatch descent in the empirical module and the learning-rate sweeps in
-the lab module all call it (a single run is a batch of one).
+the lab module all call it (a single run is a batch of one, and a sweep
+steps all its rates in one batch with a column of step sizes).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
@@ -36,7 +37,7 @@ from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
 from .geometry import SymMatrix, hess_phi, hess_psi, kl_rows
 from .rng import make_rng, normal_vector
-from .spectral import eigh
+from .spectral import EigenDecomposition, eigh
 
 METHODS = ("gd_eta", "gd_theta", "ngd")
 VARIANTS = ("nonlinear", "linearized")
@@ -138,9 +139,10 @@ def check_rows(method: str, x: np.ndarray) -> None:
 
 
 def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
-              alpha: float) -> np.ndarray:
+              alpha: Union[float, np.ndarray]) -> np.ndarray:
     """One nonlinear update of every (B, n) state row toward the mixture
-    point target_eta ((n,) or one per row), with step size alpha."""
+    point target_eta ((n,) or one per row), with step size alpha (a float,
+    or a (B, 1) column of one step size per row)."""
     if method == "gd_eta":  # x + alpha hess_phi(x) (target - x)
         v = target_eta - x
         rest = 1.0 - x.sum(axis=1, keepdims=True)
@@ -235,8 +237,10 @@ def optimal_lr(q_matrix, rule: str = "optimal") -> float:
 
     "standard": 1/lambda_max, worst-case contraction (1 - 1/kappa)^2 per step.
     "optimal":  2/(lambda_min + lambda_max), contraction (1 - 2/(kappa+1))^2.
+    Q may also be given as its EigenDecomposition.
     """
-    vals = eigh(q_matrix).values
+    dec = q_matrix if isinstance(q_matrix, EigenDecomposition) else eigh(q_matrix)
+    vals = dec.values
     if vals[0] <= 0:
         raise ValueError("curvature matrix must be positive definite")
     if rule == "standard":

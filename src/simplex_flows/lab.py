@@ -118,13 +118,19 @@ def worker_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when more than one worker is allowed."""
+    """Order-preserving map, threaded when more than one worker is allowed.
+
+    The calling thread maps the first item itself while a pool of
+    workers - 1 threads maps the rest: every pool thread keeps its own
+    malloc arena, whose freed memory stays resident after the map.
+    """
     items = list(items)
     workers = min(worker_count(), max(1, len(items)))
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(fn, items[1:])
+        return [fn(items[0])] + list(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -457,49 +463,59 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
 # --- learning-rate sweeps ---------------------------------------------------
 
 
-def _batch_convergence_times(method, mode, counts, init_probs, lr, tolerance,
-                             max_iters, minibatch, decay_a, sgd_seed):
-    """Convergence iteration (to the empirical target) per initialization."""
+def _batch_convergence_times(method, mode, counts, init_probs, lrs, idxs,
+                             tolerance, max_iters, minibatch, decay_a, seed):
+    """Convergence iteration (to the empirical target) per learning rate and
+    initialization, shape (G, B), for the G rates lrs at grid indices idxs.
+
+    All rates step together: the B inits are tiled into one (G*B, n) state
+    array with a step-size column (the rate in full batch, lr*a/(k+a) in
+    sgd), so an iteration is one step_rows, one valid_rows and one kl_rows
+    call.  A row leaves the batch once its gap is within tolerance, or once
+    it leaves the domain (it then saturates at max_iters), so finished rows
+    are neither stepped nor read.  Rows are independent, so each follows
+    the path it would follow alone.  In sgd mode the rate at grid index idx
+    draws its minibatch targets from its own generator [seed, 91, idx], B
+    of them per iteration while any of its rows is live.
+    """
     q_hat = counts / counts.sum()
-    eta_hat = q_hat[:-1]
-    b = init_probs.shape[0]
-    y = state_rows(method, init_probs)
-    rng = make_rng(sgd_seed)
-    times = np.full(b, max_iters, dtype=np.int64)
-    alive = np.ones(b, dtype=bool)
+    g, b = len(lrs), init_probs.shape[0]
+    rngs = [make_rng([seed, 91, idx]) for idx in idxs] if mode == "sgd" else ()
+    times = np.full(g * b, max_iters, dtype=np.int64)
+    rows = np.arange(g * b)  # live rows as flat (rate, init) indices
+    y = np.tile(state_rows(method, init_probs), (g, 1))
+    lr = np.repeat(np.asarray(lrs, dtype=float), b)[:, None]
 
-    def gaps_of(yv):
-        # rows no longer alive keep stepping and may leave the simplex or
-        # underflow a probability; their gaps are never read
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return kl_rows(q_hat, probs_rows(method, yv))
+    def converged(yv):
+        # a live exponential state far from the target may underflow a
+        # probability to 0: its gap is inf (kl_rows), never within tolerance
+        with np.errstate(divide="ignore"):
+            return kl_rows(q_hat, probs_rows(method, yv)) <= tolerance
 
-    gaps = gaps_of(y)
-    hit = alive & (gaps <= tolerance)
+    hit = converged(y)
     times[hit] = 0
-    alive &= ~hit
+    rows, y, lr = rows[~hit], y[~hit], lr[~hit]
     for k in range(max_iters):
-        if not alive.any():
+        if not rows.size:
             break
         if mode == "sgd":
-            draw = rng.multivariate_hypergeometric(counts, minibatch, size=b)
-            target_eta = draw[:, :-1] / minibatch
-            a = lr * decay_a / (k + decay_a)
+            live, first = np.unique(rows // b, return_index=True)
+            target = np.concatenate([
+                rngs[r].multivariate_hypergeometric(
+                    counts, minibatch, size=b)[i, :-1] / minibatch
+                for r, i in zip(live, np.split(rows % b, first[1:]))])
+            alpha = lr * decay_a / (k + decay_a)
         else:
-            target_eta = eta_hat
-            a = lr
-        y = step_rows(method, y, target_eta, a)
-        dead = alive & ~valid_rows(method, y)
-        if dead.any():
-            alive &= ~dead
-            y[dead] = state_rows(method, init_probs[dead])
-        if not alive.any():
-            break
-        gaps = gaps_of(y)
-        hit = alive & (gaps <= tolerance)
-        times[hit] = k + 1
-        alive &= ~hit
-    return times
+            target, alpha = q_hat[:-1], lr
+        y = step_rows(method, y, target, alpha)
+        ok = valid_rows(method, y)
+        if not ok.all():  # left the domain: saturates at max_iters
+            rows, y, lr = rows[ok], y[ok], lr[ok]
+        hit = converged(y)
+        if hit.any():
+            times[rows[hit]] = k + 1
+            rows, y, lr = rows[~hit], y[~hit], lr[~hit]
+    return times.reshape(g, b)
 
 
 def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
@@ -512,30 +528,47 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
     One dataset and one pool of initializations are drawn from the seed and
     shared across the whole grid (and across methods given the same seed),
     so times are comparable.  A row saturates at max_iters when any init
-    fails to converge.
+    fails to converge.  The grid is split into worker_count() interleaved
+    shares (rates w, w + workers, ...), each stepped as one batch; the
+    result does not depend on the number of workers.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if mode not in ("full_batch", "sgd"):
         raise ValueError(f"unknown mode {mode!r}")
     lr_grid = [float(x) for x in lr_grid]
-    if not lr_grid or any(x <= 0 for x in lr_grid):
-        raise ValueError("lr_grid must be nonempty and positive")
+    if not lr_grid or not all(math.isfinite(x) and x > 0 for x in lr_grid):
+        raise ValueError("lr_grid must be nonempty, finite and positive")
+    if n_inits < 1:
+        raise ValueError(f"n_inits must be at least 1, got {n_inits}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    if not 1 <= minibatch <= n_samples:
+        raise ValueError(f"minibatch must be in 1..n_samples ({n_samples}), "
+                         f"got {minibatch}")
+    if not (math.isfinite(decay_a) and decay_a > 0):
+        raise ValueError(f"decay_a must be finite and positive, got {decay_a}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = make_rng(seed)
     q = draw_instance(rng, n)
     counts = rng.multinomial(n_samples, q.probs)
     if np.any(counts == 0):
         raise ZeroCount("dataset missed an outcome; increase n_samples")
     inits = random_simplex_batch(rng, n, n_inits)
+    workers = min(worker_count(), len(lr_grid))
+    shares = [range(w, len(lr_grid), workers) for w in range(workers)]
 
-    def one(idx_lr):
-        idx, lr = idx_lr
+    def worst_times(share):
         per_init = _batch_convergence_times(
-            method, mode, counts, inits, lr, tolerance, max_iters,
-            minibatch, decay_a, sgd_seed=[seed, 91, idx])
-        return int(per_init.max())
+            method, mode, counts, inits, [lr_grid[i] for i in share], share,
+            tolerance, max_iters, minibatch, decay_a, seed)
+        return per_init.max(axis=1)
 
-    times = parallel_map(one, list(enumerate(lr_grid)))
+    times = np.empty(len(lr_grid), dtype=np.int64)
+    for share, worst in zip(shares, parallel_map(worst_times, shares)):
+        times[share] = worst
+    times = times.tolist()
     rows = list(zip(lr_grid, times))
     best = min(times)
     argmin_lrs = [lr for lr, t in rows if t == best]
@@ -763,8 +796,8 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
     ok_resid = ok_analytic = ok_mc = True
     for sub, (name, mat) in enumerate((("gd_eta", q_eta), ("gd_theta", q_theta))):
         dec = eigh(mat)
-        alpha = optimal_lr(mat, "optimal")
-        kappa = cond(mat)
+        alpha = optimal_lr(dec, "optimal")
+        kappa = cond(dec)
         p_stat = solve_lyapunov(dec, alpha).entries
         m_mat = np.eye(n) - alpha * mat
         resid = float(np.abs(m_mat @ p_stat @ m_mat + np.eye(n) - p_stat).max())

@@ -71,8 +71,9 @@ def eigvalsh_batch(stack: np.ndarray) -> np.ndarray:
 
 
 def cond(m) -> float:
-    """Spectral condition number of a symmetric positive definite matrix."""
-    vals = eigh(m).values
+    """Spectral condition number of a symmetric positive definite matrix,
+    which may also be given as its EigenDecomposition."""
+    vals = (m if isinstance(m, EigenDecomposition) else eigh(m)).values
     if vals[0] <= 0:
         raise ValueError(f"matrix is not positive definite (min eig {vals[0]:g})")
     return float(vals[-1] / vals[0])

@@ -123,7 +123,8 @@ def test_flag_overrides_config_value(tmp_path, capsys):
 def test_grid_parsing(capsys):
     assert cli._parse_grid("1:2:3") == [1.0, 1.5, 2.0]
     assert cli._parse_grid("0.5:0.5:1") == [0.5]
-    for bad in ("1:2", "2:1:5", "0:1:3", "1:2:0"):
+    for bad in ("1:2", "2:1:5", "0:1:3", "1:2:0", "0.1:nan:5", "0.1:inf:3",
+                "nan:1:3", "-inf:1:3"):
         with pytest.raises(ValueError):
             cli._parse_grid(bad)
 
@@ -186,6 +187,28 @@ def test_sweep_requires_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--method", "ngd")
     assert code == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize("setting, flags", [
+    pytest.param("grid", ["--grid", "0.1:nan:5"], id="grid-nan"),
+    pytest.param("grid", ["--grid", "0.1:inf:3"], id="grid-inf"),
+    pytest.param("decay_a", ["--mode", "sgd", "--decay-a", "0"], id="decay-0"),
+    pytest.param("decay_a", ["--mode", "sgd", "--decay-a", "-5"],
+                 id="decay-negative"),
+    pytest.param("minibatch", ["--mode", "sgd", "--minibatch", "0"],
+                 id="minibatch-0"),
+    pytest.param("minibatch", ["--mode", "sgd", "--minibatch", "200000"],
+                 id="minibatch-large"),
+    pytest.param("n_inits", ["--inits", "0"], id="inits-0"),
+    pytest.param("tolerance", ["--tol", "nan"], id="tol-nan"),
+    pytest.param("tolerance", ["--tol", "-1"], id="tol-negative"),
+])
+def test_sweep_rejects_bad_settings(capsys, setting, flags):
+    argv = ["sweep", "--method", "ngd", "--grid", "0.1:1.9:3", "--n", "2"]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert out == ""
+    assert setting in err
 
 
 def test_config_experiment_key_is_unknown(tmp_path, capsys):

@@ -87,6 +87,12 @@ def test_optimal_lr_values():
         optimal_lr(q_mat, "nope")
     with pytest.raises(ValueError):
         optimal_lr(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        optimal_lr(eigh(np.diag([1.0, -1.0])))
+    # Q given as its decomposition
+    q_mat = hess_phi(to_eta(random_simplex_point(make_rng(2), 5))).entries
+    for rule in ("standard", "optimal"):
+        assert optimal_lr(eigh(q_mat), rule) == optimal_lr(q_mat, rule)
 
 
 def test_destabilizing_delta_places_eigenvalue_at_minus_one():

@@ -1,19 +1,23 @@
 import json
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplex_flows import lab
+from simplex_flows import descent, lab, spectral
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
+from simplex_flows.descent import (probs_rows, state_rows, step_rows,
+                                   valid_rows)
 from simplex_flows.errors import (ExperimentFailure, InsufficientDecay,
                                   WitnessNotFound)
 from simplex_flows.flows import Trajectory
-from simplex_flows.geometry import (hess_phi, kl, loss_Lq_theta,
+from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
                                     loss_Lstar_theta)
 from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
-                               random_simplex_point)
+                               random_simplex_batch, random_simplex_point)
 from simplex_flows.spectral import eigh
 
 
@@ -53,6 +57,17 @@ def test_parallel_map_preserves_order(monkeypatch):
     monkeypatch.setenv("SIMPLEX_FLOWS_THREADS", "4")
     out = lab.parallel_map(lambda x: x * x, range(20))
     assert out == [x * x for x in range(20)]
+
+
+def test_parallel_map_runs_first_item_in_calling_thread(monkeypatch):
+    monkeypatch.setenv("SIMPLEX_FLOWS_THREADS", "3")
+    threads = lab.parallel_map(lambda _: threading.get_ident(), range(3))
+    assert threads[0] == threading.get_ident()
+    assert threading.get_ident() not in threads[1:]
+    with pytest.raises(ZeroDivisionError):
+        lab.parallel_map(lambda x: 1 // x, [1, 0, 2])
+    with pytest.raises(ZeroDivisionError):
+        lab.parallel_map(lambda x: 1 // x, [0, 1, 2])
 
 
 def _synthetic_traj(rate, t_end=5.0, k=500, kl0=1.0):
@@ -277,7 +292,7 @@ def test_small_learning_rate_halving_doubles_time():
     assert 1.7 <= ratio <= 2.3
 
 
-def test_lr_sweep_validation():
+def test_lr_sweep_validation(monkeypatch):
     with pytest.raises(ValueError):
         lab.lr_sweep("nope", [0.1], 5, 1e-4, 0)
     with pytest.raises(ValueError):
@@ -287,6 +302,163 @@ def test_lr_sweep_validation():
     with pytest.raises(ValueError):
         lab.lr_sweep("ngd", [-0.1], 5, 1e-4, 0)
 
+    def no_draws(*_args):
+        raise AssertionError("drew a target before validating the settings")
+
+    # each bad setting is refused, by name, before any work starts
+    monkeypatch.setattr(lab, "draw_instance", no_draws)
+    nan, inf = float("nan"), float("inf")
+    for setting, bad in [("lr_grid", [0.1, nan]), ("lr_grid", [0.1, inf]),
+                         ("n_inits", 0), ("tolerance", nan),
+                         ("tolerance", -1.0), ("tolerance", inf),
+                         ("minibatch", 0), ("minibatch", 200000),
+                         ("decay_a", 0.0), ("decay_a", -5.0),
+                         ("decay_a", nan), ("max_iters", 0)]:
+        args = {"method": "ngd", "lr_grid": [0.1], "n_inits": 5,
+                "tolerance": 1e-4, "seed": 0, "mode": "sgd", setting: bad}
+        with pytest.raises(ValueError, match=setting):
+            lab.lr_sweep(**args)
+
+
+def _one_rate_times(method, mode, counts, init_probs, lr, tolerance,
+                    max_iters, minibatch, decay_a, sgd_seed):
+    """The sweep's former kernel: one learning rate at a time, every row
+    stepped every iteration."""
+    q_hat = counts / counts.sum()
+    b = init_probs.shape[0]
+    y = state_rows(method, init_probs)
+    rng = make_rng(sgd_seed)
+    times = np.full(b, max_iters, dtype=np.int64)
+    alive = np.ones(b, dtype=bool)
+
+    def gaps_of(yv):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return kl_rows(q_hat, probs_rows(method, yv))
+
+    hit = gaps_of(y) <= tolerance
+    times[hit] = 0
+    alive &= ~hit
+    for k in range(max_iters):
+        if not alive.any():
+            break
+        if mode == "sgd":
+            draw = rng.multivariate_hypergeometric(counts, minibatch, size=b)
+            target_eta = draw[:, :-1] / minibatch
+            a = lr * decay_a / (k + decay_a)
+        else:
+            target_eta = q_hat[:-1]
+            a = lr
+        y = step_rows(method, y, target_eta, a)
+        dead = alive & ~valid_rows(method, y)
+        if dead.any():
+            alive &= ~dead
+            y[dead] = state_rows(method, init_probs[dead])
+        if not alive.any():
+            break
+        hit = alive & (gaps_of(y) <= tolerance)
+        times[hit] = k + 1
+        alive &= ~hit
+    return times
+
+
+# per method: rates that converge, saturate and leave the domain (gd_theta
+# never leaves it; at 1e4 its states underflow probabilities instead)
+SWEEP_TEST_GRIDS = {"ngd": [0.05, 0.4, 1.0, 1.7, 2.05, 2.5, 3.0],
+                    "gd_theta": [0.5, 2.0, 5.0, 12.0, 25.0, 200.0, 1e4],
+                    "gd_eta": [1e-3, 0.01, 0.03, 0.08, 0.2, 0.5, 2.0]}
+SWEEP_TEST_TOL = {"full_batch": 1e-4, "sgd": 1e-2}
+
+
+def _sweep_instance(seed, n=4, n_samples=5000, n_inits=37):
+    """The dataset and inits lr_sweep(seed, n, n_samples, n_inits) draws."""
+    rng = make_rng(seed)
+    q = lab.draw_instance(rng, n)
+    counts = rng.multinomial(n_samples, q.probs)
+    return counts, random_simplex_batch(rng, n, n_inits)
+
+
+@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+@pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
+def test_stacked_sweep_kernel_equals_one_rate_loop(method, mode):
+    # times, not gaps: BLAS may block the KL matrix-vector product
+    # differently for another number of rows, moving a gap in its last bit
+    grid = SWEEP_TEST_GRIDS[method]
+    counts, inits = _sweep_instance(3)
+    args = (SWEEP_TEST_TOL[mode], 60, 200, 30.0)
+    ref = np.array([_one_rate_times(method, mode, counts, inits, lr, *args,
+                                    sgd_seed=[3, 91, idx])
+                    for idx, lr in enumerate(grid)])
+    assert (ref < 60).any() and (ref == 60).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = lab._batch_convergence_times(
+            method, mode, counts, inits, grid, range(len(grid)), *args, seed=3)
+    assert np.array_equal(stacked, ref)
+    # a share of the grid draws from the streams of its own grid indices
+    share = range(1, len(grid), 3)
+    part = lab._batch_convergence_times(method, mode, counts, inits,
+                                        [grid[i] for i in share], share,
+                                        *args, seed=3)
+    assert np.array_equal(part, ref[list(share)])
+
+
+@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+@pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
+def test_lr_sweep_output_does_not_depend_on_workers(monkeypatch, tmp_path,
+                                                    method, mode):
+    grid = SWEEP_TEST_GRIDS[method]  # 7 rates: no share count divides it
+    tol = SWEEP_TEST_TOL[mode]
+    counts, inits = _sweep_instance(5)
+    kwargs = {"n": 4, "n_samples": 5000, "minibatch": 200, "decay_a": 30.0,
+              "max_iters": 60}
+    worst = [int(_one_rate_times(method, mode, counts, inits, lr, tol, 60,
+                                 200, 30.0, sgd_seed=[5, 91, idx]).max())
+             for idx, lr in enumerate(grid)]
+    files = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("SIMPLEX_FLOWS_THREADS", str(threads))
+        out = tmp_path / str(threads)
+        s = lab.lr_sweep(method, grid, 37, tol, 5, mode=mode,
+                         out_dir=str(out), **kwargs)
+        assert s["rows"] == [[lr, t] for lr, t in zip(grid, worst)]
+        files[threads] = [(out / f"sweep_{method}_{mode}.{ext}").read_bytes()
+                          for ext in ("csv", "json")]
+    assert files[1] == files[2] == files[3]
+
+
+@pytest.mark.parametrize("threads, grid_size, shares", [
+    (1, 7, 1), (2, 7, 2), (3, 7, 3), (8, 2, 2)])
+def test_lr_sweep_maps_once_over_worker_shares(monkeypatch, threads,
+                                               grid_size, shares):
+    calls = []
+    original = lab.parallel_map
+
+    def counting(fn, items):
+        calls.append([list(share) for share in items])
+        return original(fn, items)
+
+    monkeypatch.setenv("SIMPLEX_FLOWS_THREADS", str(threads))
+    monkeypatch.setattr(lab, "parallel_map", counting)
+    lab.lr_sweep("ngd", list(np.linspace(0.2, 1.4, grid_size)), 10, 1e-4, 0,
+                 n=2, n_samples=2000)
+    assert len(calls) == 1 and len(calls[0]) == shares
+    assert sorted(i for share in calls[0] for i in share) == list(range(grid_size))
+    assert all(share == list(range(w, grid_size, shares))
+               for w, share in enumerate(calls[0]))
+
+
+@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+def test_criterion_10_sweeps_emit_no_runtime_warning(mode):
+    grids = {"ngd": list(np.linspace(0.1, 1.9, 19)),
+             "gd_theta": list(np.linspace(1.0, 30.0, 30)),
+             "gd_eta": list(np.geomspace(5e-4, 0.1, 24))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method, grid in grids.items():
+            lab.lr_sweep(method, grid, n_inits=100,
+                         tolerance=SWEEP_TEST_TOL[mode], seed=0, mode=mode,
+                         n=10)
+
 
 def test_sandwich_rerun_is_byte_identical(tmp_path):
     for tag in ("a", "b"):
@@ -295,6 +467,22 @@ def test_sandwich_rerun_is_byte_identical(tmp_path):
     for name in ("sandwich_n2.csv", "sandwich_n2.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def test_additive_robustness_decomposes_each_matrix_once(monkeypatch):
+    seen = []
+    original = spectral.eigh
+
+    def recording(m):
+        seen.append(np.asarray(getattr(m, "entries", m)).tobytes())
+        return original(m)
+
+    for module in (spectral, descent, lab):
+        monkeypatch.setattr(module, "eigh", recording)
+    q = random_simplex_point(make_rng(1), 3)
+    lab.robustness_experiment("additive", q, [0])
+    # per gd method: its curvature Q, the Lyapunov solution and the estimate
+    assert len(seen) == 6 and len(set(seen)) == 6
 
 
 def test_robustness_rejects_unknown_kind():

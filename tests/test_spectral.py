@@ -94,8 +94,11 @@ def test_cond_of_simplex_hessians():
     k = cond(h)
     ref = np.linalg.cond(h.entries)
     assert k == pytest.approx(ref, rel=1e-9)
+    assert cond(eigh(h)) == k
     with pytest.raises(ValueError):
         cond(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        cond(eigh(np.diag([1.0, -1.0])))
 
 
 def test_kappa_lower_bound():

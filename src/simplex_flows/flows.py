@@ -232,6 +232,23 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883,
      -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# The stages are kept as one (7, B*n) matrix, so each combination of them is
+# one np.dot of a weight row block with it: the call, shapes and layouts that
+# np.tensordot makes inside, without its per-call reshapes and transposes.
+# _A_ROWS[s] is stage s's (1, s) block.
+_A_ROWS = [_A[s, None, :s] for s in range(7)]
+_E_ROW = _E[None, :]
+
+
+def check_settings(dt, sample_every, t_end=None):
+    """Raise ValueError naming the first integrator setting out of range:
+    dt and t_end (unless None) must be finite and positive, sample_every
+    at least 1."""
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not sample_every >= 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
 
 
 def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
@@ -242,40 +259,50 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
     (times, states, kls) with shapes (K,), (K, B, n), (K, B).  The samples
     sit at k*dt for every k divisible by sample_every, plus t_end; dt also
     sets the first trial step.  All rows share one adaptive step size.
+    Raises ValueError on settings that check_settings rejects.
     """
+    check_settings(dt, sample_every, t_end)
     eng = _Engine(loss, chart, target, affine)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
     y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
-    if not eng.valid(y).all():
-        raise BoundaryEscape("initial state is not in the chart's valid set")
+    valid = eng.valid(y)
+    if not valid.all():
+        raise BoundaryEscape(
+            f"{loss}/{chart}: initial state is not in the chart's valid set; "
+            f"failing batch rows {np.flatnonzero(~valid).tolist()}")
     grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
     times = np.append(grid[grid < t_end - 1e-9 * dt], t_end)
     states = np.empty((times.size,) + y.shape)
     kls = np.empty(times.shape + y.shape[:1])
     states[0], kls[0] = y, eng.kl_to_target(y)
     k = np.empty((7,) + y.shape)
+    k2 = k.reshape(7, -1)
     k[0] = eng.rhs(y)
+    size = y.shape[1]
     t, h, j, grow = 0.0, dt, 1, MAX_FACTOR
     while j < times.size:
         last = h >= t_end - t
         h = t_end - t if last else h
         with np.errstate(all="ignore"):  # trial stages may leave the chart
             for s in range(1, 7):
-                y_new = y + h * np.tensordot(_A[s, :s], k[:s], axes=1)
+                y_new = y + h * np.dot(_A_ROWS[s], k2[:s]).reshape(y.shape)
                 k[s] = eng.rhs(y_new)
             scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            row_err = np.sqrt(np.mean(
-                (h * np.tensordot(_E, k, axes=1) / scale) ** 2, axis=1))
-            err = float(np.sqrt(np.mean(row_err ** 2)))
+            # RMS norms as np.mean computes them: a sum, then one division
+            row_err = np.sqrt(np.add.reduce(
+                (h * np.dot(_E_ROW, k2).reshape(y.shape) / scale) ** 2, 1)
+                / size)
+            err = float(np.sqrt(np.add.reduce(row_err ** 2) / row_err.size))
             valid = eng.valid(y_new)
         if err <= 1.0 and valid.all():
             t_new = t_end if last else t + h
             m = j + int(np.searchsorted(times[j:], t_new, side="right"))
             if m > j:  # dense output at the samples inside this step
                 s = np.power.outer((times[j:m] - t) / h, np.arange(1, 5))
-                states[j:m] = y + np.tensordot(h * _P @ s.T, k, axes=(0, 0))
+                states[j:m] = y + np.dot((h * _P @ s.T).T.copy(),
+                                         k2).reshape((m - j,) + y.shape)
                 kls[j:m] = eng.kl_to_target(
-                    states[j:m].reshape(-1, y.shape[1])).reshape(m - j, -1)
+                    states[j:m].reshape(-1, size)).reshape(m - j, -1)
             y, t, j, k[0] = y_new, t_new, m, k[6]
             h *= min(grow, SAFETY * err ** -0.2) if err > 0 else grow
             grow = MAX_FACTOR
@@ -295,8 +322,6 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
 def integrate(spec: FlowSpec, t_end: float, dt: float = 1e-3,
               sample_every: int = 10) -> Trajectory:
     """Integrate a single flow; thin wrapper over the batched integrator."""
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
     times, states, kls = integrate_batch(
         spec.loss, spec.chart, spec.target, spec.init.probs[None, :],
         t_end, dt=dt, sample_every=sample_every, affine=spec.affine)

@@ -24,11 +24,11 @@ from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
-from .flows import integrate_batch
+from .flows import check_settings, integrate_batch
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
                        loss_Lstar_theta, make_identity_chart)
-from .rng import (make_rng, normal_matrix, normal_rows, normal_vector,
-                  random_simplex_batch, random_simplex_point)
+from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
+                  normal_vector, random_simplex_batch, random_simplex_point)
 from .spectral import cond, eigh, eigvalsh_batch, solve_lyapunov
 
 KL_FLOOR = 1e-13
@@ -284,15 +284,15 @@ def draw_near(q: SimplexPoint, p0: SimplexPoint,
 def draw_instance(rng, n: int, balance: float = 0.3) -> SimplexPoint:
     """A random target whose smallest probability is not degenerate.
 
-    Flat-Dirichlet draws are rejected until min_i q_i >= balance/(n+1).
-    Very lopsided targets make every flow's transient so long and violent
-    that no finite window of the KL curve is a clean exponential.
+    Flat-Dirichlet draws are rejected until min_i q_i >= balance/(n+1), for
+    at most 100,000 draws.  Very lopsided targets make every flow's
+    transient so long and violent that no finite window of the KL curve is
+    a clean exponential.
     """
-    for _ in range(100000):
-        q = random_simplex_point(rng, n)
-        if q.probs.min() >= balance / (n + 1):
-            return q
-    raise ExperimentFailure("could not draw a balanced target; lower balance")
+    q = first_simplex_point(rng, n, balance / (n + 1), 100000)
+    if q is None:
+        raise ExperimentFailure("could not draw a balanced target; lower balance")
+    return q
 
 
 def sandwich_experiment(n: int, n_inits: int, seed: int,
@@ -317,6 +317,9 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n_inits < 1:
+        raise ValueError(f"n_inits must be at least 1, got {n_inits}")
+    check_settings(dt, sample_every, t_end)
     rng = make_rng(seed)
     q = draw_instance(rng, n)
     inits = random_simplex_batch(rng, n, n_inits)
@@ -347,8 +350,11 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     nat_times = results["natural_eta"][0]
     nat_states = results["natural_eta"][1]
     eta_q = q.probs[:-1]
-    exact = eta_q + np.exp(-nat_times)[:, None, None] * (inits[None, :, :-1] - eta_q)
-    natural_exact_err = float(np.abs(nat_states - exact).max())
+    # in place: one (K, B, n) temporary beside the three charts' states
+    dev = np.exp(-nat_times)[:, None, None] * (inits[None, :, :-1] - eta_q)
+    dev += eta_q
+    dev -= nat_states
+    natural_exact_err = float(np.abs(dev, out=dev).max())
 
     rows, excluded = [], []
     ok_order = ok_band = ok_r2 = True
@@ -407,8 +413,10 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     The claim is local, so p0 is pulled toward q until kl(q||p0) <= 0.05
     before integrating.
     """
-    if any(c <= 0 for c in c_values):
-        raise ValueError("every c must be positive")
+    for c in c_values:
+        if not 0 < c < np.inf:
+            raise ValueError(f"every c must be finite and positive, got {c}")
+    check_settings(dt, sample_every)
     p_near = draw_near(q, p0)
     tq = to_theta(q)
     hq_eta = hess_phi(to_eta(q)).entries

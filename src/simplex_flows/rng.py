@@ -7,7 +7,9 @@ Box-Muller transform on top of the uniform stream, in one place:
 ``normal_rows(rng, count, dim)``.  Its row k equals, bit for bit, the k-th of
 ``count`` successive ``normal_vector(rng, dim)`` calls, and it leaves the
 generator in the same state, so a loop that draws one vector per step can
-draw all of its steps in one call up front.
+draw all of its steps in one call up front.  In the same way,
+``first_simplex_point`` screens many simplex draws at once, yet returns the
+draw and leaves the state that a loop of single draws would.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 from .coords import SimplexPoint
 
 TWO_PI = 2.0 * np.pi
+DRAW_BLOCK = 1024  # simplex draws screened at once by first_simplex_point
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -56,3 +59,30 @@ def random_simplex_batch(rng: np.random.Generator, n: int, count: int) -> np.nda
     """count independent flat-Dirichlet draws, one per row."""
     x = -np.log1p(-rng.random((count, n + 1)))
     return x / x.sum(axis=1, keepdims=True)
+
+
+def first_simplex_point(rng: np.random.Generator, n: int, floor: float,
+                        budget: int) -> "SimplexPoint | None":
+    """The first of up to budget random_simplex_point draws whose smallest
+    probability is at least floor, or None.
+
+    Draws are screened DRAW_BLOCK rows at a time with random_simplex_batch.
+    The screen passes a band of 1e-9 below the floor, so that no rounding
+    difference between its row sums and a single draw's sum can hide a hit;
+    the first hit is drawn again as a single point from its place in the
+    stream, and that draw decides.
+    """
+    while budget > 0:
+        state = rng.bit_generator.state
+        rows = random_simplex_batch(rng, n, min(DRAW_BLOCK, budget))
+        hits = np.flatnonzero(rows.min(axis=1) >= floor * (1.0 - 1e-9))
+        if hits.size == 0:
+            budget -= rows.shape[0]
+            continue
+        rng.bit_generator.state = state
+        rng.random((hits[0], n + 1))  # the rejected draws before the hit
+        q = random_simplex_point(rng, n)
+        budget -= hits[0] + 1
+        if q.probs.min() >= floor:
+            return q
+    return None

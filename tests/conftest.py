@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplex_flows import lab
+from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint
 from simplex_flows.rng import make_rng, random_simplex_point
 
@@ -36,16 +36,16 @@ def fd_hessian(f, x, h=1e-4):
 
 @pytest.fixture
 def lopsided_draws(monkeypatch):
-    """Every target draw in lab has a smallest probability of 1e-3, below
-    draw_instance's balance floor 0.3 / (n + 1) for any n up to 298."""
-    points = {}
+    """Every simplex draw, single or batched, has a smallest probability of
+    1e-3, below draw_instance's balance floor 0.3 / (n + 1) for any n up to
+    298."""
+    def point(n):
+        return np.append(1e-3, np.full(n, (1.0 - 1e-3) / n))
 
-    def draw(rng, n):
-        if n not in points:
-            points[n] = SimplexPoint(np.append(1e-3, np.full(n, (1.0 - 1e-3) / n)))
-        return points[n]
-
-    monkeypatch.setattr(lab, "random_simplex_point", draw)
+    monkeypatch.setattr(rng_module, "random_simplex_point",
+                        lambda rng, n: SimplexPoint(point(n)))
+    monkeypatch.setattr(rng_module, "random_simplex_batch",
+                        lambda rng, n, count: np.tile(point(n), (count, 1)))
 
 
 def interior_point(rng, n, margin=0.05):

@@ -158,6 +158,29 @@ def test_nonconvexity_rejects_bad_input_before_probing(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (["sandwich", "--t-end", "-1"], "t_end must be finite and positive, got -1.0"),
+    (["sandwich", "--t-end", "nan"], "t_end must be finite and positive, got nan"),
+    (["sandwich", "--sample-every", "-3"], "sample_every must be at least 1, got -3"),
+    (["sandwich", "--sample-every", "0"], "sample_every must be at least 1, got 0"),
+    (["sandwich", "--dt", "0"], "dt must be finite and positive, got 0.0"),
+    (["sandwich", "--dt", "-1"], "dt must be finite and positive, got -1.0"),
+    (["sandwich", "--dt", "inf"], "dt must be finite and positive, got inf"),
+    (["sandwich", "--inits", "0"], "n_inits must be at least 1, got 0"),
+    (["affine", "--c-values", "inf"], "every c must be finite and positive, got inf"),
+    (["affine", "--c-values", "nan"], "every c must be finite and positive, got nan"),
+    (["affine", "--c-values", "1,-2"], "every c must be finite and positive, got -2.0"),
+    (["affine", "--dt", "0"], "dt must be finite and positive, got 0.0"),
+    (["affine", "--dt", "inf"], "dt must be finite and positive, got inf"),
+], ids=["t-end", "t-end-nan", "sample-every", "sample-every-0", "dt-0",
+        "dt-negative", "dt-inf", "inits-0", "c-inf", "c-nan", "c-negative",
+        "affine-dt-0", "affine-dt-inf"])
+def test_integrator_settings_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_nonconvexity_underflow_names_probe_and_point(capsys):
     code, out, err = run_cli(capsys, "nonconvexity", "--box", "800")
     assert (code, out) == (2, "")

@@ -167,6 +167,27 @@ def test_large_first_step_near_face_is_rejected_not_fatal():
     assert kls[-1, 0] < 1e-8
 
 
+def test_invalid_initial_state_names_flow_and_rows():
+    # eta = (0.5, 0.5) sums to 1, so the third point is on the eta chart's face
+    q, p0 = _pair(12, 2)
+    inits = np.array([p0.probs, q.probs, [0.5, 0.5, 1e-300]])
+    with pytest.raises(BoundaryEscape, match=re.escape(
+            "Lq/eta: initial state is not in the chart's valid set; "
+            "failing batch rows [2]")):
+        integrate_batch("Lq", "eta", q, inits, 1.0)
+
+
+@pytest.mark.parametrize("t_end, dt, sample_every", [
+    (-1.0, 1e-3, 10), (0.0, 1e-3, 10), (np.inf, 1e-3, 10), (np.nan, 1e-3, 10),
+    (1.0, 0.0, 10), (1.0, -1.0, 10), (1.0, np.inf, 10), (1.0, np.nan, 10),
+    (1.0, 1e-3, 0), (1.0, 1e-3, -3)])
+def test_integrate_batch_rejects_bad_settings(t_end, dt, sample_every):
+    q, p0 = _pair(10, 2)
+    with pytest.raises(ValueError, match="finite and positive|at least 1"):
+        integrate_batch("Lq", "eta", q, p0.probs[None, :], t_end, dt=dt,
+                        sample_every=sample_every)
+
+
 def test_boundary_escape_on_step_size_underflow(monkeypatch):
     # an rhs that turns NaN partway makes every later step fail, so the
     # step shrinks until it underflows; the error names where it stopped
@@ -219,6 +240,82 @@ def test_paths_match_high_order_oracle(spec):
         t_eval=traj.times)
     assert ref.success
     assert np.abs(ref.y.T - traj.states).max() < 1e-8
+
+
+def _tensordot_integrate(loss, chart, target, init_probs, t_end, dt,
+                         sample_every, affine=None):
+    """The integrator as it was written with one np.tensordot per stage
+    combination, error estimate and dense-output block: the reference that
+    the stage-matrix loop must reproduce bit for bit."""
+    eng = flows._Engine(loss, chart, target, affine)
+    y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
+    grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
+    times = np.append(grid[grid < t_end - 1e-9 * dt], t_end)
+    states = np.empty((times.size,) + y.shape)
+    kls = np.empty(times.shape + y.shape[:1])
+    states[0], kls[0] = y, eng.kl_to_target(y)
+    k = np.empty((7,) + y.shape)
+    k[0] = eng.rhs(y)
+    t, h, j, grow = 0.0, dt, 1, flows.MAX_FACTOR
+    while j < times.size:
+        last = h >= t_end - t
+        h = t_end - t if last else h
+        with np.errstate(all="ignore"):
+            for s in range(1, 7):
+                y_new = y + h * np.tensordot(flows._A[s, :s], k[:s], axes=1)
+                k[s] = eng.rhs(y_new)
+            scale = flows.ATOL + flows.RTOL * np.maximum(np.abs(y),
+                                                         np.abs(y_new))
+            row_err = np.sqrt(np.mean(
+                (h * np.tensordot(flows._E, k, axes=1) / scale) ** 2, axis=1))
+            err = float(np.sqrt(np.mean(row_err ** 2)))
+            valid = eng.valid(y_new)
+        if err <= 1.0 and valid.all():
+            t_new = t_end if last else t + h
+            m = j + int(np.searchsorted(times[j:], t_new, side="right"))
+            if m > j:
+                s = np.power.outer((times[j:m] - t) / h, np.arange(1, 5))
+                states[j:m] = y + np.tensordot(h * flows._P @ s.T, k,
+                                               axes=(0, 0))
+                kls[j:m] = eng.kl_to_target(
+                    states[j:m].reshape(-1, y.shape[1])).reshape(m - j, -1)
+            y, t, j, k[0] = y_new, t_new, m, k[6]
+            h *= min(grow, flows.SAFETY * err ** -0.2) if err > 0 else grow
+            grow = flows.MAX_FACTOR
+            continue
+        h *= max(flows.MIN_FACTOR, min(1.0, flows.SAFETY * err ** -0.2)) \
+            if 1.0 < err < np.inf else flows.MIN_FACTOR
+        grow = 1.0
+    return times, states, kls
+
+
+def _stage_matrix_cases():
+    rng = make_rng(4)
+    q = draw_instance(rng, 2)
+    inits = np.vstack([random_simplex_point(rng, 2).probs for _ in range(37)])
+    chart = make_identity_chart(to_theta(q), 2.0)
+    for loss in flows.LOSSES:
+        for name in flows.CHARTS:
+            affine = chart if name.startswith("affine") else None
+            for batch in (1, 37):
+                yield pytest.param(loss, name, q, inits[:batch], 2.0, 1e-3, 7,
+                                   affine, id=f"{loss}-{name}-B{batch}")
+    # a first trial step of 0.5 leaves the simplex: rejected steps
+    yield pytest.param("Lq", "eta", SimplexPoint(np.array([0.98, 0.01, 0.01])),
+                       np.array([[0.001, 0.499, 0.5]]), 4.0, 0.5, 1, None,
+                       id="near-face-dt-0.5")
+
+
+@pytest.mark.parametrize("loss, chart, target, inits, t_end, dt, every, affine",
+                         _stage_matrix_cases())
+def test_stage_matrix_step_equals_tensordot_step(loss, chart, target, inits,
+                                                 t_end, dt, every, affine):
+    got = integrate_batch(loss, chart, target, inits, t_end, dt=dt,
+                          sample_every=every, affine=affine)
+    want = _tensordot_integrate(loss, chart, target, inits, t_end, dt, every,
+                                affine)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_dense_output_coefficients_match_scipy():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_flows import descent, lab, spectral
+from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.descent import (probs_rows, state_rows, step_rows,
                                    valid_rows)
@@ -137,6 +138,55 @@ def test_draw_near_out_of_reach_is_an_experiment_failure():
 def test_unbalanced_draws_are_an_experiment_failure(lopsided_draws):
     with pytest.raises(ExperimentFailure, match="balanced target"):
         lab.draw_instance(make_rng(0), 2)
+
+
+def _draw_instance_per_point(rng, n, balance=0.3):
+    """draw_instance as one point per draw: the stream reference."""
+    for _ in range(100000):
+        q = random_simplex_point(rng, n)
+        if q.probs.min() >= balance / (n + 1):
+            return q
+    raise ExperimentFailure("could not draw a balanced target; lower balance")
+
+
+def _assert_same_draw_and_stream(n, seed, balance=0.3):
+    rng, ref = make_rng(seed), make_rng(seed)
+    q = lab.draw_instance(rng, n, balance)
+    assert np.array_equal(q.probs, _draw_instance_per_point(ref, n, balance).probs)
+    assert np.array_equal(rng.random(9), ref.random(9))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 20])
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_draw_instance_equals_per_point_draws(monkeypatch, n, block):
+    monkeypatch.setattr(rng_module, "DRAW_BLOCK", block)
+    for seed in range(8):
+        _assert_same_draw_and_stream(n, seed)
+
+
+def test_draw_instance_confirms_every_screened_hit(monkeypatch):
+    # a screen that passes every row: each row is confirmed by a single draw
+    # from its own place in the stream, and rejected ones are scanned past
+    def uniform_rows(rng, n, count):
+        random_simplex_batch(rng, n, count)
+        return np.full((count, n + 1), 1.0 / (n + 1))
+
+    monkeypatch.setattr(rng_module, "random_simplex_batch", uniform_rows)
+    for n, seed in ((2, 0), (5, 1), (10, 2)):
+        _assert_same_draw_and_stream(n, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       balance=st.floats(0.0, 0.5))
+def test_draw_instance_equals_per_point_draws_property(n, seed, balance):
+    _assert_same_draw_and_stream(n, seed, balance)
+
+
+def test_draw_instance_at_n40_is_an_experiment_failure():
+    # acceptance is about 0.7^40 per draw: the budget of 100,000 draws runs out
+    with pytest.raises(ExperimentFailure, match="balanced target"):
+        lab.draw_instance(make_rng(0), 40)
 
 
 def test_rate_bounds_bracket_curvature_at_optimum():

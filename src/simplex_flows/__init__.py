@@ -32,6 +32,7 @@ from .lab import (RateBounds, RateFit, affine_rate_experiment,
                   sandwich_experiment)
 from .rng import make_rng, random_simplex_batch, random_simplex_point
 from .spectral import (EigenDecomposition, cond, eigh, eigvalsh_batch,
-                       kappa_lower_bound, solve_lyapunov, sym_sqrt)
+                       kappa_lower_bound, rank_one_extremes, solve_lyapunov,
+                       sym_sqrt)
 
 __version__ = "1.0.0"

@@ -8,7 +8,8 @@ Two loss families appear throughout:
     L_q(p)    = D(q||p)   minimized over p, target q fixed (convex in both charts)
     L*_p(q)   = D(q||p)   minimized over q, target p fixed (convex in eta only)
 
-The Hessians of the potentials are mutually inverse at matching points:
+The Hessians of the potentials are mutually inverse at matching points,
+hess_psi(theta) = hess_phi(eta)^-1 (lab's theta rate bounds rely on it):
 
     hess_phi(eta) = diag(1/eta_i) + (1/(1 - sum eta)) * ones
     hess_psi(theta) = diag(eta) - eta eta^T,   eta = grad psi(theta)

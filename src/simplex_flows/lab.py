@@ -29,7 +29,7 @@ from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
                        loss_Lstar_theta, make_identity_chart)
 from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
                   normal_vector, random_simplex_batch, random_simplex_point)
-from .spectral import cond, eigh, eigvalsh_batch, solve_lyapunov
+from .spectral import cond, eigh, rank_one_extremes, solve_lyapunov
 
 KL_FLOOR = 1e-13
 FIT_WINDOW = 0.6
@@ -220,21 +220,17 @@ def _bounds_pool(loss, q_bytes, n, grid_density, seed):
 
 
 def _hessian_extremes(loss, q, probs):
-    e = probs[:, :-1]
+    """Extreme Hessian eigenvalues of L_q at each row of probs.  In eta the
+    Hessian is diag(q_i/e_i^2) + q_n/rest^2 11^T; in theta it is hess_psi =
+    hess_phi^-1, so its extremes are the reciprocals of those of hess_phi =
+    diag(1/e) + 11^T/rest, free of the cancellation in diag(e) - ee^T."""
+    e, rest = probs[:, :-1], probs[:, -1]
     if loss == "Lq_eta":
-        rest = probs[:, -1]
-        b, n = e.shape
-        h = np.broadcast_to((q[-1] / rest ** 2)[:, None, None], (b, n, n)).copy()
-        idx = np.arange(n)
-        h[:, idx, idx] += q[:-1] / e ** 2
-    elif loss == "Lq_theta":
-        h = -np.einsum("bi,bj->bij", e, e)
-        idx = np.arange(e.shape[1])
-        h[:, idx, idx] += e
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    vals = eigvalsh_batch(h)
-    return vals[:, 0], vals[:, -1]
+        return rank_one_extremes(q[:-1] / e ** 2, q[-1] / rest ** 2)
+    if loss == "Lq_theta":
+        lo, hi = rank_one_extremes(1.0 / e, 1.0 / rest)
+        return 1.0 / hi, 1.0 / lo
+    raise ValueError(f"unknown loss {loss!r}")
 
 
 def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint,
@@ -413,6 +409,8 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     The claim is local, so p0 is pulled toward q until kl(q||p0) <= 0.05
     before integrating.
     """
+    if not len(c_values):
+        raise ValueError("c_values is empty: no chart to check")
     for c in c_values:
         if not 0 < c < np.inf:
             raise ValueError(f"every c must be finite and positive, got {c}")
@@ -440,8 +438,11 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
             times, _states, kls = integrate_batch(
                 "Lq", chart_kind, q, p_near.probs[None, :], t_end,
                 dt=dt_chart, sample_every=sample_every, affine=chart)
-            fit = _fit_from_arrays(*_fit_arrays(times, kls[:, 0],
-                                                KL_FLOOR, FIT_WINDOW))
+            try:
+                fit = _fit_from_arrays(*_fit_arrays(times, kls[:, 0],
+                                                    KL_FLOOR, FIT_WINDOW))
+            except InsufficientDecay as exc:
+                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
             fits[chart_kind] = fit
             ok_rates &= abs(fit.slope - expected) <= rtol * expected
         rows.append((c, fits["affine_eta"].slope, 2.0 * c,

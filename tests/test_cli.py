@@ -171,14 +171,24 @@ def test_nonconvexity_rejects_bad_input_before_probing(capsys, argv, message):
     (["affine", "--c-values", "inf"], "every c must be finite and positive, got inf"),
     (["affine", "--c-values", "nan"], "every c must be finite and positive, got nan"),
     (["affine", "--c-values", "1,-2"], "every c must be finite and positive, got -2.0"),
+    (["affine", "--c-values", ""], "c_values is empty: no chart to check"),
     (["affine", "--dt", "0"], "dt must be finite and positive, got 0.0"),
     (["affine", "--dt", "inf"], "dt must be finite and positive, got inf"),
 ], ids=["t-end", "t-end-nan", "sample-every", "sample-every-0", "dt-0",
         "dt-negative", "dt-inf", "inits-0", "c-inf", "c-nan", "c-negative",
-        "affine-dt-0", "affine-dt-inf"])
+        "c-empty", "affine-dt-0", "affine-dt-inf"])
 def test_integrator_settings_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_affine_insufficient_decay_names_c_and_chart(capsys):
+    # at c = 1e-9 the affine_theta rate 2/c leaves too few samples above
+    # the KL floor: an experiment failure (exit 1) that says where
+    code, out, err = run_cli(capsys, "affine", "--c-values", "1e-9")
+    assert (code, out) == (1, "")
+    assert err == ("failure: c = 1e-09, affine_theta: fewer than 10 samples "
+                   "above the KL floor\n")
 
 
 def test_nonconvexity_underflow_names_probe_and_point(capsys):

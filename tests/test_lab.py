@@ -203,6 +203,13 @@ def test_rate_bounds_bracket_curvature_at_optimum():
         lab.rate_bounds("nope", q, p0)
 
 
+def test_affine_rate_experiment_needs_a_c():
+    rng = make_rng(5)
+    q, p0 = lab.draw_instance(rng, 2), random_simplex_point(rng, 2)
+    with pytest.raises(ValueError, match="c_values is empty"):
+        lab.affine_rate_experiment([], q, p0)
+
+
 def test_rate_bounds_reported_sides_stable_under_refinement():
     # quadrupling the sample only nudges the sides each loss actually
     # reports (the lower bound for the eta chart, the upper for theta)

@@ -39,6 +39,8 @@ def _parse_grid(text):
         raise ValueError(f"grid bounds must be finite, got {lo}:{hi}")
     if count < 1 or lo <= 0 or hi < lo:
         raise ValueError("grid must satisfy 0 < lo <= hi, count >= 1")
+    if count == 1 and hi != lo:
+        raise ValueError(f"a grid of count 1 needs lo == hi, got {lo}:{hi}")
     return [lo] if count == 1 else list(np.linspace(lo, hi, count))
 
 
@@ -324,6 +326,20 @@ _COMMANDS = {
 }
 
 
+def _flag_type(key):
+    """The parser of key's flag: a malformed value names its reason, as in
+    a config file, where argparse alone would print only the parser's name."""
+    parse = _KEY_TYPES[key]
+
+    def parse_flag(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"malformed value for key {key!r}: {exc}") from exc
+    return parse_flag
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="simplex-flows",
@@ -334,7 +350,7 @@ def _build_parser():
         sp.add_argument("--config")
         for key in defaults:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=_KEY_TYPES[key], help=_HELP.get(key))
+                            type=_flag_type(key), help=_HELP.get(key))
     return parser
 
 

@@ -474,18 +474,20 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
 
 def _batch_convergence_times(method, mode, counts, init_probs, lrs, idxs,
                              tolerance, max_iters, minibatch, decay_a, seed):
-    """Convergence iteration (to the empirical target) per learning rate and
-    initialization, shape (G, B), for the G rates lrs at grid indices idxs.
+    """Worst convergence iteration (to the empirical target) over the
+    initializations, per learning rate: shape (G,), for the G rates lrs at
+    grid indices idxs.
 
     All rates step together: the B inits are tiled into one (G*B, n) state
     array with a step-size column (the rate in full batch, lr*a/(k+a) in
     sgd), so an iteration is one step_rows, one valid_rows and one kl_rows
-    call.  A row leaves the batch once its gap is within tolerance, or once
-    it leaves the domain (it then saturates at max_iters), so finished rows
-    are neither stepped nor read.  Rows are independent, so each follows
-    the path it would follow alone.  In sgd mode the rate at grid index idx
-    draws its minibatch targets from its own generator [seed, 91, idx], B
-    of them per iteration while any of its rows is live.
+    call.  A row leaves the batch once its gap is within tolerance.  Once a
+    row leaves the domain its rate is finished at max_iters, the worst time
+    there is, so all of the rate's rows leave the batch and are neither
+    stepped nor read again.  Rows are independent, so each follows the path
+    it would follow alone.  In sgd mode the rate at grid index idx draws its
+    minibatch targets from its own generator [seed, 91, idx], B of them per
+    iteration while any of its rows is live; a finished rate draws no more.
     """
     q_hat = counts / counts.sum()
     g, b = len(lrs), init_probs.shape[0]
@@ -518,13 +520,14 @@ def _batch_convergence_times(method, mode, counts, init_probs, lrs, idxs,
             target, alpha = q_hat[:-1], lr
         y = step_rows(method, y, target, alpha)
         ok = valid_rows(method, y)
-        if not ok.all():  # left the domain: saturates at max_iters
+        if not ok.all():  # left the domain: its rate saturates at max_iters
+            ok = ~np.isin(rows // b, rows[~ok] // b)
             rows, y, lr = rows[ok], y[ok], lr[ok]
         hit = converged(y)
         if hit.any():
             times[rows[hit]] = k + 1
             rows, y, lr = rows[~hit], y[~hit], lr[~hit]
-    return times.reshape(g, b)
+    return times.reshape(g, b).max(axis=1)
 
 
 def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
@@ -536,10 +539,12 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
 
     One dataset and one pool of initializations are drawn from the seed and
     shared across the whole grid (and across methods given the same seed),
-    so times are comparable.  A row saturates at max_iters when any init
-    fails to converge.  The grid is split into worker_count() interleaved
-    shares (rates w, w + workers, ...), each stepped as one batch; the
-    result does not depend on the number of workers.
+    so times are comparable.  A rate's time saturates at max_iters when any
+    init fails to converge; a rate with an init that leaves the domain is
+    finished at max_iters then and there, and stops stepping and drawing.
+    The grid is split into worker_count() interleaved shares (rates w,
+    w + workers, ...), each stepped as one batch; the result does not
+    depend on the number of workers.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -569,10 +574,9 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
     shares = [range(w, len(lr_grid), workers) for w in range(workers)]
 
     def worst_times(share):
-        per_init = _batch_convergence_times(
+        return _batch_convergence_times(
             method, mode, counts, inits, [lr_grid[i] for i in share], share,
             tolerance, max_iters, minibatch, decay_a, seed)
-        return per_init.max(axis=1)
 
     times = np.empty(len(lr_grid), dtype=np.int64)
     for share, worst in zip(shares, parallel_map(worst_times, shares)):

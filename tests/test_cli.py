@@ -123,10 +123,27 @@ def test_flag_overrides_config_value(tmp_path, capsys):
 def test_grid_parsing(capsys):
     assert cli._parse_grid("1:2:3") == [1.0, 1.5, 2.0]
     assert cli._parse_grid("0.5:0.5:1") == [0.5]
-    for bad in ("1:2", "2:1:5", "0:1:3", "1:2:0", "0.1:nan:5", "0.1:inf:3",
-                "nan:1:3", "-inf:1:3"):
+    for bad in ("1:2", "2:1:5", "0:1:3", "1:2:0", "1:2:1", "0.1:nan:5",
+                "0.1:inf:3", "nan:1:3", "-inf:1:3"):
         with pytest.raises(ValueError):
             cli._parse_grid(bad)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sweep", "grid", "1:2:0"), ("sweep", "grid", "1:2:1"),
+    ("affine", "c_values", "1,x")])
+def test_malformed_flag_names_the_reason_a_config_file_names(
+        tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"{key} = {value}\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    reason = err.strip().split("c.ini:1: ", 1)[1]
+    assert reason.startswith(f"malformed value for key {key!r}: ")
+    code, _, err = run_cli(capsys, command, "--" + key.replace("_", "-"),
+                           value)
+    assert code == 2
+    assert reason in err and "invalid _parse" not in err
 
 
 def test_fit_rate_command(tmp_path, capsys):

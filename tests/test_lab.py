@@ -438,25 +438,78 @@ def _sweep_instance(seed, n=4, n_samples=5000, n_inits=37):
 @pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
 def test_stacked_sweep_kernel_equals_one_rate_loop(method, mode):
     # times, not gaps: BLAS may block the KL matrix-vector product
-    # differently for another number of rows, moving a gap in its last bit
+    # differently for another number of rows, moving a gap in its last bit;
+    # worst times, since a rate stops stepping once a row leaves the domain
+    grid = SWEEP_TEST_GRIDS[method]
+    args = (SWEEP_TEST_TOL[mode], 60, 200, 30.0)
+    for instance in (3, 5, 7):
+        counts, inits = _sweep_instance(instance)
+        ref = np.array([_one_rate_times(method, mode, counts, inits, lr,
+                                        *args, sgd_seed=[instance, 91, idx])
+                        for idx, lr in enumerate(grid)])
+        assert (ref < 60).any() and (ref == 60).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = lab._batch_convergence_times(
+                method, mode, counts, inits, grid, range(len(grid)), *args,
+                seed=instance)
+        assert np.array_equal(stacked, ref.max(axis=1))
+        # a share of the grid draws from the streams of its own grid indices
+        share = range(1, len(grid), 3)
+        part = lab._batch_convergence_times(method, mode, counts, inits,
+                                            [grid[i] for i in share], share,
+                                            *args, seed=instance)
+        assert np.array_equal(part, ref[list(share)].max(axis=1))
+
+
+@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+@pytest.mark.parametrize("method", ["gd_eta", "ngd"])
+def test_rate_leaving_domain_stops_stepping_and_drawing(monkeypatch, method,
+                                                        mode):
     grid = SWEEP_TEST_GRIDS[method]
     counts, inits = _sweep_instance(3)
-    args = (SWEEP_TEST_TOL[mode], 60, 200, 30.0)
-    ref = np.array([_one_rate_times(method, mode, counts, inits, lr, *args,
-                                    sgd_seed=[3, 91, idx])
-                    for idx, lr in enumerate(grid)])
-    assert (ref < 60).any() and (ref == 60).any()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stacked = lab._batch_convergence_times(
-            method, mode, counts, inits, grid, range(len(grid)), *args, seed=3)
-    assert np.array_equal(stacked, ref)
-    # a share of the grid draws from the streams of its own grid indices
-    share = range(1, len(grid), 3)
-    part = lab._batch_convergence_times(method, mode, counts, inits,
-                                        [grid[i] for i in share], share,
-                                        *args, seed=3)
-    assert np.array_equal(part, ref[list(share)])
+    tol, max_iters, minibatch, decay_a = SWEEP_TEST_TOL[mode], 60, 200, 30.0
+    stepped = []  # per iteration: the grid index of every row stepped
+    left = {}     # grid index -> iteration at which one of its rows left
+    draws = {}    # grid index -> minibatch draws of its generator
+
+    def step(m, y, target, alpha):
+        k = len(stepped)
+        lrs = np.array(grid) if mode == "full_batch" else (
+            np.array(grid) * decay_a / (k + decay_a))
+        match = alpha == lrs  # (rows, G): the rate of each row
+        assert (match.sum(axis=1) == 1).all()
+        stepped.append(match.argmax(axis=1))
+        return step_rows(m, y, target, alpha)
+
+    def valid(m, y):
+        ok = valid_rows(m, y)
+        for r in stepped[-1][~ok]:
+            left.setdefault(int(r), len(stepped) - 1)
+        return ok
+
+    class CountingRng:
+        def __init__(self, idx):
+            self.idx, self.gen = idx, make_rng([3, 91, idx])
+
+        def multivariate_hypergeometric(self, *a, **kw):
+            draws[self.idx] = draws.get(self.idx, 0) + 1
+            return self.gen.multivariate_hypergeometric(*a, **kw)
+
+    monkeypatch.setattr(lab, "step_rows", step)
+    monkeypatch.setattr(lab, "valid_rows", valid)
+    monkeypatch.setattr(lab, "make_rng", lambda key: CountingRng(key[2]))
+    worst = lab._batch_convergence_times(
+        method, mode, counts, inits, grid, range(len(grid)), tol, max_iters,
+        minibatch, decay_a, seed=3)
+    assert left and all(worst[r] == max_iters for r in left)
+    for r, k in left.items():
+        # a rate still had live rows when it left, and none is stepped after
+        assert (stepped[k] == r).sum() > 1
+        assert not any((rates == r).any() for rates in stepped[k + 1:])
+    for r in range(len(grid)):
+        iters = sum(bool((rates == r).any()) for rates in stepped)
+        assert draws.get(r, 0) == (iters if mode == "sgd" else 0)
 
 
 @pytest.mark.parametrize("mode", ["full_batch", "sgd"])

@@ -19,7 +19,8 @@ from .empirical import (Dataset, SgdSchedule, convergence_time,
                         sample_dataset)
 from .errors import (BoundaryEscape, ExperimentFailure, InsufficientDecay,
                      NonFinite, SimplexFlowsError, WitnessNotFound, ZeroCount)
-from .flows import FlowSpec, Trajectory, integrate, integrate_batch, natural_flow_exact
+from .flows import (FlowSpec, Trajectory, integrate, integrate_batch,
+                    integrate_blocks, natural_flow_exact)
 from .geometry import (AffineChart, SymMatrix, bregman_phi, bregman_psi,
                        grad_Lq_eta, grad_Lq_theta, grad_Lstar_eta,
                        grad_Lstar_theta, hess_Lq_eta, hess_phi, hess_psi,

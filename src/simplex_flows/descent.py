@@ -128,14 +128,18 @@ def valid_rows(method: str, x: np.ndarray) -> np.ndarray:
     return ok
 
 
-def check_rows(method: str, x: np.ndarray) -> None:
+def check_rows(method: str, x: np.ndarray, k: int, alpha: float) -> None:
     """Raise BoundaryEscape (a mixture state left the simplex) or NonFinite
-    (an exponential state overflowed) unless every row is valid."""
+    (an exponential state overflowed) unless every row is valid; the
+    message names the method, the iteration k of x and the step size."""
     if valid_rows(method, x).all():
         return
+    where = f"at iteration {k} (step size {alpha:.9g})"
     if _eta_state(method):
-        raise BoundaryEscape("iterate left the simplex; reduce the step size")
-    raise NonFinite("iterate overflowed; reduce the step size")
+        raise BoundaryEscape(f"{method} iterate left the simplex {where}; "
+                             "reduce the step size")
+    raise NonFinite(f"{method} iterate overflowed {where}; "
+                    "reduce the step size")
 
 
 def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
@@ -207,13 +211,13 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
         rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
         e = x[0] - x_star[0]
 
-    def kl_of(xv):
+    def kl_of(xv, k):
         if noisy and not valid_rows(method, xv)[0]:
             return np.nan
-        check_rows(method, xv)
+        check_rows(method, xv, k, spec.learning_rate)
         return kl_rows(q, probs_rows(method, xv))[0] if record_kl else np.nan
 
-    states, kls = [x[0]], [kl_of(x)]
+    states, kls = [x[0]], [kl_of(x, 0)]
     for k in range(spec.max_iters):
         if record_kl and tol is not None and kls[-1] <= tol:
             break
@@ -223,7 +227,7 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
         else:
             x = step_rows(method, x, q[:-1], spec.learning_rate)
         states.append(x[0])
-        kls.append(kl_of(x))
+        kls.append(kl_of(x, k + 1))
     return Trajectory(np.arange(len(states), dtype=float),
                       np.array(states), np.array(kls))
 

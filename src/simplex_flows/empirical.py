@@ -145,7 +145,7 @@ def _run_minibatch(spec, d, size, schedule, seed, tol):
         a = schedule.rate(k) if schedule is not None else spec.learning_rate
         batch_eta = rng.multivariate_hypergeometric(d.counts, size)[:-1] / size
         x = descent.step_rows(spec.method, x, batch_eta, a)
-        descent.check_rows(spec.method, x)
+        descent.check_rows(spec.method, x, k + 1, a)
         states.append(x[0])
         gaps.append(kl_rows(q_hat, descent.probs_rows(spec.method, x))[0])
     return np.array(states), np.array(gaps)

@@ -10,6 +10,12 @@ a face, costs small steps only where it is large; a step that leaves the
 chart's valid set is retried smaller.  Samples on the fixed grid k*dt come
 from the dense output, so recorded times line up across flows.
 
+integrate_blocks is the integrator: a generator that yields each accepted
+step's samples (times, states, KLs) as one block, so a caller that reduces
+the blocks as they come holds no (samples, batch, n) array.
+integrate_batch collects the blocks into full arrays; integrate wraps it
+for a single flow.
+
 The natural flow of L_q has the closed-form solution
 eta(t) = eta_q + exp(-t) (eta_0 - eta_q), exposed as natural_flow_exact
 and used as an oracle for the integrator.
@@ -251,17 +257,28 @@ def check_settings(dt, sample_every, t_end=None):
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
 
 
-def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
-                    sample_every=10, affine=None):
-    """Integrate one flow from many initializations at once.
-
-    init_probs is a (B, n+1) array of probability rows.  Returns
-    (times, states, kls) with shapes (K,), (K, B, n), (K, B).  The samples
-    sit at k*dt for every k divisible by sample_every, plus t_end; dt also
-    sets the first trial step.  All rows share one adaptive step size.
-    Raises ValueError on settings that check_settings rejects.
-    """
+def sample_times(t_end, dt, sample_every):
+    """The sample grid: k*dt for every k divisible by sample_every, below
+    t_end, then t_end itself.  Raises ValueError on settings that
+    check_settings rejects."""
     check_settings(dt, sample_every, t_end)
+    grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
+    return np.append(grid[grid < t_end - 1e-9 * dt], t_end)
+
+
+def integrate_blocks(loss, chart, target, init_probs, t_end, dt=1e-3,
+                     sample_every=10, affine=None):
+    """Integrate one flow from many initializations at once, as a stream.
+
+    init_probs is a (B, n+1) array of probability rows.  Yields
+    (times, states, kls) blocks of shapes (m,), (m, B, n), (m, B): the
+    sample at 0, then the samples inside each accepted step, whose times
+    concatenate to sample_times(t_end, dt, sample_every).  dt also sets the
+    first trial step; all rows share one adaptive step size.  Raises
+    ValueError (settings) or BoundaryEscape (initial state) when the first
+    block is drawn.
+    """
+    times = sample_times(t_end, dt, sample_every)
     eng = _Engine(loss, chart, target, affine)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
     y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
@@ -270,11 +287,7 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
         raise BoundaryEscape(
             f"{loss}/{chart}: initial state is not in the chart's valid set; "
             f"failing batch rows {np.flatnonzero(~valid).tolist()}")
-    grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
-    times = np.append(grid[grid < t_end - 1e-9 * dt], t_end)
-    states = np.empty((times.size,) + y.shape)
-    kls = np.empty(times.shape + y.shape[:1])
-    states[0], kls[0] = y, eng.kl_to_target(y)
+    yield times[:1], y[None], eng.kl_to_target(y)[None]
     k = np.empty((7,) + y.shape)
     k2 = k.reshape(7, -1)
     k[0] = eng.rhs(y)
@@ -299,10 +312,12 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
             m = j + int(np.searchsorted(times[j:], t_new, side="right"))
             if m > j:  # dense output at the samples inside this step
                 s = np.power.outer((times[j:m] - t) / h, np.arange(1, 5))
-                states[j:m] = y + np.dot((h * _P @ s.T).T.copy(),
-                                         k2).reshape((m - j,) + y.shape)
-                kls[j:m] = eng.kl_to_target(
-                    states[j:m].reshape(-1, size)).reshape(m - j, -1)
+                states = y + np.dot((h * _P @ s.T).T.copy(),
+                                    k2).reshape((m - j,) + y.shape)
+                # one KL call per step: kl_rows' gemv rounds by row count
+                kls = eng.kl_to_target(
+                    states.reshape(-1, size)).reshape(m - j, -1)
+                yield times[j:m], states, kls
             y, t, j, k[0] = y_new, t_new, m, k[6]
             h *= min(grow, SAFETY * err ** -0.2) if err > 0 else grow
             grow = MAX_FACTOR
@@ -316,6 +331,23 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
             raise BoundaryEscape(
                 f"{loss}/{chart}: step size underflow at t={t:.9g} "
                 f"(h={h:.3g}); failing batch rows {bad}")
+
+
+def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
+                    sample_every=10, affine=None):
+    """Integrate one flow from many initializations at once: the blocks of
+    integrate_blocks collected into (times, states, kls) of shapes (K,),
+    (K, B, n), (K, B).  Raises ValueError on settings that check_settings
+    rejects."""
+    times = sample_times(t_end, dt, sample_every)
+    rows, cols = np.atleast_2d(np.asarray(init_probs)).shape
+    states = np.empty((times.size, rows, cols - 1))
+    kls = np.empty((times.size, rows))
+    j = 0
+    for _, block_states, block_kls in integrate_blocks(
+            loss, chart, target, init_probs, t_end, dt, sample_every, affine):
+        m = j + len(block_kls)
+        states[j:m], kls[j:m], j = block_states, block_kls, m
     return times, states, kls
 
 

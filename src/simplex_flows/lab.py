@@ -24,7 +24,8 @@ from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
-from .flows import check_settings, integrate_batch
+from .flows import (check_settings, integrate_batch, integrate_blocks,
+                    sample_times)
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
                        loss_Lstar_theta, make_identity_chart)
 from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
@@ -39,6 +40,7 @@ NEAR_OPT_KL = 0.05
 DEFAULT_T_END = {2: 1.5}  # every other n defaults to 2.0
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLE_EVERY = 10
+PATH_STRIDE = 20  # the sandwich keeps every 20th state of each chart
 WITNESS_BLOCK = 256  # probes drawn and screened at once; bounds scan memory
 # Monte Carlo chain: steps per block scan, whose (n, L, L) power stack is
 # n * 32 KiB (L = 256 would make it 1 MiB at n = 2), and steps of noise drawn
@@ -310,6 +312,13 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     dominates.  (With a single shared horizon the slow theta flow is still
     mid-transient when the fast eta flow is already at the KL floor, and
     the fits pick up the drifting transient slope.)
+
+    Each chart's samples stream from integrate_blocks and are reduced as
+    they come: the KLs go into a (K, B) array, the natural-flow check into
+    a running maximum, and every PATH_STRIDE-th state into the chart's
+    path, so memory is O(K B) rather than O(K B n).  The returned summary
+    carries _trajectories[chart] = (times, path, kls), with
+    path = states[::PATH_STRIDE] of the full (K, B, n) states.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -327,7 +336,9 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     kl0_max = max(kl(q, SimplexPoint(row)) for row in inits)
     # asymptotic decay rates: 2 lambda_min of the curvature in each chart
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
-    results, horizons = {}, {}
+    eta_q = q.probs[:-1]
+    offset = inits[None, :, :-1] - eta_q
+    results, horizons, natural_exact_err = {}, {}, 0.0
     for chart in ("eta", "natural_eta", "theta"):
         if t_end is not None:
             t_chart, dt_chart = t_end, dt
@@ -337,20 +348,29 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
             # (the n=10 theta horizon is ~1,500 time units)
             t_chart = np.log(kl0_max / (20.0 * KL_FLOOR)) / rate_est[chart]
             dt_chart = max(dt, t_chart / 20000.0)
-        times, states, kls = integrate_batch("Lq", chart, q, inits, t_chart,
-                                             dt=dt_chart,
-                                             sample_every=sample_every)
-        results[chart] = (times, states, kls)
+        times = sample_times(t_chart, dt_chart, sample_every)
+        kls = np.empty((times.size, n_inits))
+        path = np.empty((-(-times.size // PATH_STRIDE), n_inits, n))
+        j = 0
+        for block_times, states, block_kls in integrate_blocks(
+                "Lq", chart, q, inits, t_chart, dt=dt_chart,
+                sample_every=sample_every):
+            m = j + block_times.size
+            kls[j:m] = block_kls
+            first = -j % PATH_STRIDE
+            kept = states[first::PATH_STRIDE]
+            start = (j + first) // PATH_STRIDE
+            path[start:start + len(kept)] = kept
+            if chart == "natural_eta":
+                dev = np.exp(-block_times)[:, None, None] * offset
+                dev += eta_q
+                dev -= states
+                natural_exact_err = np.maximum(natural_exact_err,
+                                               np.abs(dev, out=dev).max())
+            j = m
+        results[chart] = (times, path, kls)
         horizons[chart] = float(t_chart)
-
-    nat_times = results["natural_eta"][0]
-    nat_states = results["natural_eta"][1]
-    eta_q = q.probs[:-1]
-    # in place: one (K, B, n) temporary beside the three charts' states
-    dev = np.exp(-nat_times)[:, None, None] * (inits[None, :, :-1] - eta_q)
-    dev += eta_q
-    dev -= nat_states
-    natural_exact_err = float(np.abs(dev, out=dev).max())
+    natural_exact_err = float(natural_exact_err)
 
     rows, excluded = [], []
     ok_order = ok_band = ok_r2 = True

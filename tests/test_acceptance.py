@@ -118,8 +118,8 @@ def test_criterion_03_rate_sandwich(sandwich_runs):
                         f"({total:.0f}s)", ok and total < 120.0)
 
 
-def _trajectory_probs(chart, states, stride=20):
-    flat = states[::stride].reshape(-1, states.shape[-1])
+def _trajectory_probs(chart, path):
+    flat = path.reshape(-1, path.shape[-1])
     if chart == "theta":
         m = np.maximum(0.0, flat.max(axis=1))
         w = np.exp(flat - m[:, None])

@@ -54,6 +54,14 @@ def test_experiment_failure_exits_1(capsys, lopsided_draws):
     assert "failure: could not draw a balanced target" in err
 
 
+def test_empirical_escape_names_method_iteration_and_step_size(capsys):
+    code, out, err = run_cli(capsys, "empirical", "--n", "2", "--seed", "2")
+    assert code == 1
+    assert out == ""
+    assert err == ("failure: gd_eta iterate left the simplex at iteration 1 "
+                   "(step size 0.01); reduce the step size\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, to_eta,
                                   to_theta)
-from simplex_flows.descent import (DescentSpec, NoiseModel,
+from simplex_flows.descent import (DescentSpec, NoiseModel, check_rows,
                                    destabilizing_delta, optimal_lr, run,
                                    step)
-from simplex_flows.errors import BoundaryEscape
+from simplex_flows.errors import BoundaryEscape, NonFinite
 from simplex_flows.geometry import hess_phi, hess_psi, kl
 from simplex_flows.rng import make_rng, normal_vector, random_simplex_point
 from simplex_flows.spectral import cond, eigh
@@ -183,6 +185,20 @@ def test_run_raises_boundary_escape_on_huge_step():
     spec = DescentSpec("gd_eta", "nonlinear", q, p0, 5.0, max_iters=50)
     with pytest.raises(BoundaryEscape):
         run(spec)
+
+
+def test_run_failure_names_method_iteration_and_step_size():
+    q, p0 = _pair(10, 2)
+    spec = DescentSpec("ngd", "nonlinear", q, p0, 5.0, max_iters=50)
+    with pytest.raises(BoundaryEscape, match=re.escape(
+            "ngd iterate left the simplex at iteration 1 (step size 5); "
+            "reduce the step size")):
+        run(spec)
+    with pytest.raises(NonFinite, match=re.escape(
+            "gd_theta iterate overflowed at iteration 3 (step size 0.25); "
+            "reduce the step size")):
+        check_rows("gd_theta", np.array([[np.inf, 0.0]]), 3, 0.25)
+    check_rows("gd_theta", np.array([[700.0, -700.0]]), 3, 0.25)
 
 
 def test_noisy_run_records_nan_instead_of_raising():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from simplex_flows.descent import DescentSpec, run
 from simplex_flows.empirical import (Dataset, SgdSchedule, convergence_time,
                                      empirical_kl, empirical_target,
                                      run_empirical, sample_dataset)
-from simplex_flows.errors import ZeroCount
+from simplex_flows.errors import BoundaryEscape, ZeroCount
 from simplex_flows.flows import Trajectory
 from simplex_flows.geometry import kl
 from simplex_flows.rng import make_rng, random_simplex_point
@@ -140,6 +142,19 @@ def test_minibatch_survives_missed_outcomes():
     spec = DescentSpec("gd_theta", "nonlinear", q_hat, p0, 0.2, max_iters=100)
     traj = run_empirical(spec, d, minibatch=2, seed=12)
     assert np.all(np.isfinite(traj.states))
+
+
+def test_minibatch_failure_names_method_iteration_and_step_size():
+    rng = make_rng(10)
+    random_simplex_point(rng, 2)
+    p0 = random_simplex_point(rng, 2)
+    d = Dataset(np.array([30, 50, 20]))
+    spec = DescentSpec("gd_eta", "nonlinear", empirical_target(d), p0, 5.0,
+                       max_iters=50)
+    with pytest.raises(BoundaryEscape, match=re.escape(
+            "gd_eta iterate left the simplex at iteration 1 (step size 5); "
+            "reduce the step size")):
+        run_empirical(spec, d, minibatch=10, seed=1)
 
 
 def test_run_empirical_argument_validation():

@@ -7,7 +7,8 @@ from simplex_flows import flows
 from simplex_flows.coords import SimplexPoint, to_eta
 from simplex_flows.errors import BoundaryEscape
 from simplex_flows.flows import (FlowSpec, Trajectory, integrate,
-                                 integrate_batch, natural_flow_exact)
+                                 integrate_batch, integrate_blocks,
+                                 natural_flow_exact, sample_times)
 from simplex_flows.geometry import make_identity_chart
 from simplex_flows.lab import draw_instance, sandwich_experiment
 from simplex_flows.coords import to_theta
@@ -112,7 +113,7 @@ def test_last_sample_is_exactly_t_end():
 
 def test_sandwich_trajectories_end_at_horizons():
     summary = sandwich_experiment(2, 3, seed=1)
-    for chart, (times, _states, _kls) in summary["_trajectories"].items():
+    for chart, (times, _path, _kls) in summary["_trajectories"].items():
         assert times[-1] == summary["horizons"][chart]
 
 
@@ -316,6 +317,20 @@ def test_stage_matrix_step_equals_tensordot_step(loss, chart, target, inits,
                                 affine)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("loss, chart, target, inits, t_end, dt, every, affine",
+                         _stage_matrix_cases())
+def test_integrate_batch_is_the_concatenated_blocks(loss, chart, target, inits,
+                                                    t_end, dt, every, affine):
+    blocks = list(integrate_blocks(loss, chart, target, inits, t_end, dt=dt,
+                                   sample_every=every, affine=affine))
+    got = integrate_batch(loss, chart, target, inits, t_end, dt=dt,
+                          sample_every=every, affine=affine)
+    assert len(blocks) > 2 and len(blocks[0][0]) == 1
+    for part, whole in zip(zip(*blocks), got):
+        assert np.array_equal(np.concatenate(part), whole)
+    assert np.array_equal(got[0], sample_times(t_end, dt, every))
 
 
 def test_dense_output_coefficients_match_scipy():

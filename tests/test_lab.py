@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from simplex_flows.descent import (probs_rows, state_rows, step_rows,
                                    valid_rows)
 from simplex_flows.errors import (ExperimentFailure, InsufficientDecay,
                                   WitnessNotFound)
-from simplex_flows.flows import Trajectory
+from simplex_flows.flows import Trajectory, integrate_batch
 from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
                                     loss_Lstar_theta)
 from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
@@ -577,6 +578,59 @@ def test_sandwich_rerun_is_byte_identical(tmp_path):
     for name in ("sandwich_n2.csv", "sandwich_n2.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def _sandwich_from_full_states(summary):
+    """The sandwich's KLs, paths, natural-flow error and rows as they were
+    computed from the full (K, B, n) states of integrate_batch."""
+    q, inits = summary["_target"], summary["_inits"]
+    cfg = summary["config"]
+    results = {}
+    for chart, t_chart in summary["horizons"].items():
+        results[chart] = integrate_batch(
+            "Lq", chart, q, inits, t_chart, dt=max(cfg["dt"], t_chart / 20000.0),
+            sample_every=cfg["sample_every"])
+    nat_times, nat_states, _ = results["natural_eta"]
+    eta_q = q.probs[:-1]
+    dev = np.exp(-nat_times)[:, None, None] * (inits[None, :, :-1] - eta_q)
+    dev += eta_q
+    dev -= nat_states
+    rows = []
+    for b in range(len(inits)):
+        try:
+            fits = {c: lab._fit_from_arrays(*lab._fit_arrays(
+                results[c][0], results[c][2][:, b], lab.KL_FLOOR,
+                lab.FIT_WINDOW)) for c in ("eta", "natural_eta", "theta")}
+        except InsufficientDecay:
+            continue
+        rows.append([b] + [fits[c].slope for c in ("eta", "natural_eta", "theta")]
+                    + [fits[c].r_squared for c in ("eta", "natural_eta", "theta")])
+    return results, float(np.abs(dev).max()), rows
+
+
+@pytest.mark.parametrize("n, seed, n_inits", [(2, 7, 100), (10, 3, 30)])
+def test_streamed_sandwich_equals_full_states(n, seed, n_inits):
+    summary = lab.sandwich_experiment(n, n_inits, seed)
+    results, natural_err, rows = _sandwich_from_full_states(summary)
+    assert summary["natural_exact_max_err"] == natural_err
+    assert summary["rows"] == rows
+    for chart, (times, states, kls) in results.items():
+        got_times, path, got_kls = summary["_trajectories"][chart]
+        assert np.array_equal(got_times, times)
+        assert np.array_equal(got_kls, kls)
+        assert np.array_equal(path, states[::lab.PATH_STRIDE])
+
+
+def test_sandwich_holds_no_full_state_array():
+    tracemalloc.start()
+    try:
+        summary = lab.sandwich_experiment(10, 100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    times = summary["_trajectories"]["theta"][0]
+    theta_states_bytes = times.size * 100 * 10 * 8
+    assert peak < theta_states_bytes / 2
 
 
 def test_additive_robustness_decomposes_each_matrix_once(monkeypatch):

@@ -148,6 +148,33 @@ def theta_from_eta(e: EtaCoord) -> ThetaCoord:
     return to_theta(simplex_from_eta(e))
 
 
+# chart maps of (B, n) state rows of a base chart (eta, theta, natural_eta,
+# natural_theta) or a descent method: a name that ends in theta holds
+# exponential coordinates, every other one mixture coordinates.
+
+
+def state_rows(chart: str, probs: np.ndarray) -> np.ndarray:
+    """The (B, n) states of a chart from (B, n+1) probability rows."""
+    if chart.endswith("theta"):
+        return np.log(probs[:, :-1]) - np.log(probs[:, -1:])
+    return probs[:, :-1].copy()
+
+
+def probs_rows(chart: str, x: np.ndarray) -> np.ndarray:
+    """The (B, n+1) probability rows of (B, n) states of a chart."""
+    if chart.endswith("theta"):
+        return softmax_rows(x)
+    return np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)])
+
+
+def valid_rows(chart: str, x: np.ndarray) -> np.ndarray:
+    """Per row: finite, and inside the simplex for mixture states."""
+    ok = np.isfinite(x).all(axis=1)
+    if not chart.endswith("theta"):
+        ok &= (x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0)
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

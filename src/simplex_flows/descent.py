@@ -14,10 +14,14 @@ eta_q at step size alpha:
              alpha = 1.  Its nonlinear and linearized variants coincide up
              to rounding.
 
-One batched kernel, step_rows, updates (B, n) rows of states; run, the
-minibatch descent in the empirical module and the learning-rate sweeps in
-the lab module all call it (a single run is a batch of one, and a sweep
-steps all its rates in one batch with a column of step sizes).
+Each method is an Euler step x <- x + alpha field along the L_q vector
+field of its chart (eta, theta and natural_eta): the geometry.field that
+the flows integrate.  One batched kernel, step_rows, takes that step for
+(B, n) rows of states, with the chart maps state_rows, probs_rows and
+valid_rows of the coords module.  run, the minibatch descent in the
+empirical module and the learning-rate sweeps in the lab module all call
+them (a single run is a batch of one, and a sweep steps all its rates in
+one batch with a column of step sizes).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
@@ -31,15 +35,17 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coords import (EtaCoord, SimplexPoint, ThetaCoord, softmax_rows, to_eta,
-                     to_theta)
+from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
+                     state_rows, to_eta, to_theta, valid_rows)
 from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
-from .geometry import SymMatrix, hess_phi, hess_psi, kl_rows
+from .geometry import SymMatrix, field, hess_phi, hess_psi, kl_rows
 from .rng import make_rng, normal_vector
 from .spectral import EigenDecomposition, eigh
 
-METHODS = ("gd_eta", "gd_theta", "ngd")
+# the chart each method iterates, along the L_q field of that chart
+METHOD_CHARTS = {"gd_eta": "eta", "gd_theta": "theta", "ngd": "natural_eta"}
+METHODS = tuple(METHOD_CHARTS)
 VARIANTS = ("nonlinear", "linearized")
 
 
@@ -100,34 +106,6 @@ class DescentSpec:
             raise ValueError("noise models apply to the linearized variant only")
 
 
-def _eta_state(method: str) -> bool:
-    """Whether a method iterates mixture coordinates (gd_eta and ngd) rather
-    than exponential ones (gd_theta); the same for both variants."""
-    return method != "gd_theta"
-
-
-def state_rows(method: str, probs: np.ndarray) -> np.ndarray:
-    """The (B, n) states a method iterates, from (B, n+1) probability rows."""
-    if _eta_state(method):
-        return probs[:, :-1].copy()
-    return np.log(probs[:, :-1]) - np.log(probs[:, -1:])
-
-
-def probs_rows(method: str, x: np.ndarray) -> np.ndarray:
-    """The (B, n+1) probability rows of (B, n) states of a method."""
-    if _eta_state(method):
-        return np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)])
-    return softmax_rows(x)
-
-
-def valid_rows(method: str, x: np.ndarray) -> np.ndarray:
-    """Per row: finite, and inside the simplex for mixture states."""
-    ok = np.isfinite(x).all(axis=1)
-    if _eta_state(method):
-        ok &= (x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0)
-    return ok
-
-
 def check_rows(method: str, x: np.ndarray, k: int, alpha: float) -> None:
     """Raise BoundaryEscape (a mixture state left the simplex) or NonFinite
     (an exponential state overflowed) unless every row is valid; the
@@ -135,25 +113,19 @@ def check_rows(method: str, x: np.ndarray, k: int, alpha: float) -> None:
     if valid_rows(method, x).all():
         return
     where = f"at iteration {k} (step size {alpha:.9g})"
-    if _eta_state(method):
-        raise BoundaryEscape(f"{method} iterate left the simplex {where}; "
-                             "reduce the step size")
-    raise NonFinite(f"{method} iterate overflowed {where}; "
-                    "reduce the step size")
+    if method == "gd_theta":
+        raise NonFinite(f"{method} iterate overflowed {where}; "
+                        "reduce the step size")
+    raise BoundaryEscape(f"{method} iterate left the simplex {where}; "
+                         "reduce the step size")
 
 
 def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
               alpha: Union[float, np.ndarray]) -> np.ndarray:
-    """One nonlinear update of every (B, n) state row toward the mixture
-    point target_eta ((n,) or one per row), with step size alpha (a float,
-    or a (B, 1) column of one step size per row)."""
-    if method == "gd_eta":  # x + alpha hess_phi(x) (target - x)
-        v = target_eta - x
-        rest = 1.0 - x.sum(axis=1, keepdims=True)
-        return x + alpha * (v / x + v.sum(axis=1, keepdims=True) / rest)
-    if method == "gd_theta":  # theta - alpha (eta(theta) - target)
-        return x - alpha * (softmax_rows(x)[:, :-1] - target_eta)
-    return x - alpha * (x - target_eta)  # ngd: eta - alpha (eta - target)
+    """One nonlinear update x + alpha field of every (B, n) state row toward
+    the mixture point target_eta ((n,) or one per row), with step size alpha
+    (a float, or a (B, 1) column of one step size per row)."""
+    return x + alpha * field("Lq", METHOD_CHARTS[method], x, target_eta)
 
 
 def _curvature_at_optimum(spec: DescentSpec) -> np.ndarray:
@@ -190,7 +162,7 @@ def step(spec: DescentSpec, state, k: int = 0, rng=None):
         x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
         x = x_star + _error_update(spec, x - x_star, k,
                                    _curvature_at_optimum(spec), rng)
-    return EtaCoord(x) if _eta_state(spec.method) else ThetaCoord(x)
+    return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
 
 def run(spec: DescentSpec, tol: Optional[float] = None,

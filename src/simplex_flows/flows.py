@@ -1,14 +1,18 @@
 """Gradient and natural-gradient flows of the two KL losses.
 
-Each flow is an ODE x'(t) = -grad L(x) in one of the coordinate charts
+Each flow is an ODE x'(t) = field(x) in one of the coordinate charts
 (mixture eta, exponential theta, their Fisher-preconditioned "natural"
-versions, or an affine rechart).  Integration is adaptive Dormand-Prince
-5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6).  The step size follows the embedded error
-estimate, so the mixture chart's curvature, which grows like 1/eta_min^2 near
-a face, costs small steps only where it is large; a step that leaves the
-chart's valid set is retried smaller.  Samples on the fixed grid k*dt come
-from the dense output, so recorded times line up across flows.
+versions, or an affine rechart).  The field is geometry.field, looked up
+once per integration; an affine chart theta = A thetabar + b is a pullback
+of its base chart, the eta field at etabar^T A^-1 times A^-T (as rows) or
+the theta field at A thetabar + b times A.  Integration is adaptive
+Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).  The step size
+follows the embedded error estimate, so the mixture chart's curvature,
+which grows like 1/eta_min^2 near a face, costs small steps only where it
+is large; a step that leaves the chart's valid set is retried smaller.
+Samples on the fixed grid k*dt come from the dense output, so recorded
+times line up across flows.
 
 integrate_blocks is the integrator: a generator that yields each accepted
 step's samples (times, states, KLs) as one block, so a caller that reduces
@@ -26,9 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import EtaCoord, SimplexPoint, softmax_rows, to_eta, to_theta
+from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
+                     state_rows, to_theta, valid_rows)
 from .errors import BoundaryEscape
-from .geometry import AffineChart, kl_rows
+from .geometry import FIELDS, AffineChart, kl_rows
 
 CHARTS = ("eta", "theta", "natural_eta", "natural_theta",
           "affine_eta", "affine_theta")
@@ -98,117 +103,58 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# chart engines (batched: states are rows of a (B, n) array)
+# one flow's field and chart maps (batched: states are rows of a (B, n) array)
+
+
+def _pullback(loss, chart, affine=None):
+    """(to_base, rhs) of a chart: the map of its state rows to its base chart
+    (eta or theta for an affine chart, else the chart itself) and its field
+    rhs(y, target).  An affine chart's field is the base field at the
+    mapped rows, mapped back by one matrix product."""
+    f = FIELDS[loss, chart.replace("affine_", "")]
+    if chart == "affine_eta":  # eta = A^-T etabar, as rows etabar^T A^-1
+        m = affine.a_inv
+        return (lambda y: y @ m), (lambda y, t: f(y @ m, t) @ m.T)
+    if chart == "affine_theta":  # theta = A thetabar + b
+        a, b = affine.a_matrix, affine.b_offset
+        return (lambda y: y @ a.T + b), (lambda y, t: f(y @ a.T + b, t) @ a)
+    return (lambda y: y), f
 
 
 class _Engine:
-    """rhs / validity / conversions for one (loss, chart) pair."""
+    """The field, chart maps and KL of one (loss, chart) pair, resolved once
+    per integration; validity and probabilities are the base chart's."""
 
     def __init__(self, loss, chart, target, affine=None):
-        self.loss = loss
-        self.chart = chart
-        self.affine = affine
-        self.q = target.probs
-        self.eta_q = target.probs[:-1]
-        self.theta_q = to_theta(target).theta
+        self.loss, self.chart, self.affine = loss, chart, affine
+        self.q, self.base = target.probs, chart.replace("affine_", "")
+        self.to_base, field = _pullback(loss, chart, affine)
+        goal = target.probs[:-1] if loss == "Lq" else to_theta(target).theta
+        self.rhs = lambda y: field(y, goal)
 
-    # conversions ----------------------------------------------------------
-
-    def init_state(self, p0: SimplexPoint) -> np.ndarray:
-        if self.chart in ("eta", "natural_eta"):
-            return p0.probs[:-1].copy()
-        if self.chart in ("theta", "natural_theta"):
-            return to_theta(p0).theta.copy()
+    def init_state(self, probs):
+        """States of (B, n+1) probability rows (affine: row by row)."""
+        x = state_rows(self.base, probs)
         if self.chart == "affine_eta":
-            return self.affine.barred_from_eta(to_eta(p0))
-        return self.affine.barred_from_theta(to_theta(p0))
-
-    def _eta_rows(self, y):
-        """Mixture coordinates of every row, whatever the chart."""
-        if self.chart in ("eta", "natural_eta"):
-            return y
-        if self.chart in ("theta", "natural_theta"):
-            return softmax_rows(y)[:, :-1]
-        if self.chart == "affine_eta":
-            return y @ self.affine.a_inv  # rows (A^-T etabar)^T = etabar^T A^-1
-        th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        return softmax_rows(th)[:, :-1]
-
-    def probs(self, y):
-        e = self._eta_rows(y)
-        return np.hstack([e, 1.0 - e.sum(axis=1, keepdims=True)])
+            return np.array([self.affine.barred_from_eta(EtaCoord(r))
+                             for r in x])
+        if self.chart == "affine_theta":
+            return np.array([self.affine.barred_from_theta(ThetaCoord(r))
+                             for r in x])
+        return x
 
     def valid(self, y):
-        """Per row: finite, and inside the simplex for the eta-side charts."""
-        ok = np.isfinite(y).all(axis=1)
-        if self.chart in ("theta", "natural_theta", "affine_theta"):
-            return ok
-        e = self._eta_rows(y)
-        return ok & (e > 0.0).all(axis=1) & (e.sum(axis=1) < 1.0)
+        return valid_rows(self.base, self.to_base(y))
 
     def kl_to_target(self, y):
         """KL to the target per row, clipped at 0 (both forms are sums that
         round to just below 0 near the optimum)."""
-        p = self.probs(y)
+        p = probs_rows(self.base, self.to_base(y))
+        if self.base.endswith("theta"):  # every chart reads 1 - sum(eta)
+            p[:, -1:] = 1.0 - p[:, :-1].sum(axis=1, keepdims=True)
         if self.loss == "Lq":
             return kl_rows(self.q, p)
         return np.maximum(0.0, (p * (np.log(p) - np.log(self.q))).sum(axis=1))
-
-    # dynamics -------------------------------------------------------------
-
-    def rhs(self, y):
-        if self.loss == "Lq":
-            return self._rhs_lq(y)
-        return self._rhs_lstar(y)
-
-    def _mixture_pull(self, e):
-        """-grad L_q in mixture coordinates: hess_phi(e) (eta_q - e), rowwise."""
-        v = self.eta_q - e
-        rest = 1.0 - e.sum(axis=1, keepdims=True)
-        return v / e + v.sum(axis=1, keepdims=True) / rest
-
-    def _rhs_lq(self, y):
-        if self.chart == "eta":
-            return self._mixture_pull(y)
-        if self.chart == "theta":
-            return self.eta_q - softmax_rows(y)[:, :-1]
-        if self.chart == "natural_eta":
-            return self.eta_q - y
-        if self.chart == "natural_theta":
-            e = softmax_rows(y)[:, :-1]
-            return self._mixture_pull(e)
-        if self.chart == "affine_eta":
-            e = self._eta_rows(y)
-            return self._mixture_pull(e) @ self.affine.a_inv.T
-        th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        g = softmax_rows(th)[:, :-1] - self.eta_q
-        return -(g @ self.affine.a_matrix)
-
-    def _rhs_lstar(self, y):
-        tp = self.theta_q  # for Lstar the fixed target plays the role of p
-        if self.chart == "eta":
-            rest = 1.0 - y.sum(axis=1, keepdims=True)
-            return tp - (np.log(y) - np.log(rest))
-        if self.chart == "natural_theta":
-            return tp - y
-        if self.chart == "theta":
-            e = softmax_rows(y)[:, :-1]
-            v = tp - y
-            return e * v - e * (e * v).sum(axis=1, keepdims=True)
-        if self.chart == "natural_eta":
-            rest = 1.0 - y.sum(axis=1, keepdims=True)
-            v = tp - (np.log(y) - np.log(rest))
-            return y * v - y * (y * v).sum(axis=1, keepdims=True)
-        if self.chart == "affine_eta":
-            e = self._eta_rows(y)
-            rest = 1.0 - e.sum(axis=1, keepdims=True)
-            v = tp - (np.log(e) - np.log(rest))
-            return v @ self.affine.a_inv.T
-        th = y @ self.affine.a_matrix.T + self.affine.b_offset
-        e = softmax_rows(th)[:, :-1]
-        v = tp - th
-        w = e * v - e * (e * v).sum(axis=1, keepdims=True)
-        return w @ self.affine.a_matrix
 
 
 # Dormand-Prince 5(4).  Row s of _A weighs the earlier stages for stage s;
@@ -281,7 +227,9 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=1e-3,
     times = sample_times(t_end, dt, sample_every)
     eng = _Engine(loss, chart, target, affine)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
-    y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
+    for row in init_probs:
+        SimplexPoint(row)  # raises ValueError unless a probability row
+    y = eng.init_state(init_probs)
     valid = eng.valid(y)
     if not valid.all():
         raise BoundaryEscape(

@@ -1,4 +1,4 @@
-"""Divergences, gradients and Hessians on the simplex, plus affine recharts.
+"""Divergences, vector fields and Hessians on the simplex; affine recharts.
 
 Everything here is a closed form.  The KL divergence D(q||p) coincides with
 the Bregman divergence of psi between the theta coordinates (arguments
@@ -14,16 +14,24 @@ hess_psi(theta) = hess_phi(eta)^-1 (lab's theta rate bounds rely on it):
     hess_phi(eta) = diag(1/eta_i) + (1/(1 - sum eta)) * ones
     hess_psi(theta) = diag(eta) - eta eta^T,   eta = grad psi(theta)
 
-Natural gradients (Hessian-preconditioned) collapse to coordinate
-differences and need no linear solve.
+The vector fields -grad L, and the natural -hess^-1 grad L, of both losses
+in the four base charts are one table, FIELDS, read through field().  Three
+primitives build all eight: the mixture pull hess_phi(e) (eta_q - e), the
+theta of an eta row, and the exponential pull hess_psi v = e*v - e (e.v).
+The natural fields need no linear solve: in the chart where the plain
+field is a Hessian times a difference, the natural one is the difference,
+and in the other chart it is the first chart's plain formula.  The flows
+integrate these fields, descent steps along them, and the scalar
+gradients are one-row calls of field.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta, phi,
-                     psi, simplex_from_theta, theta_from_eta)
+                     psi, simplex_from_theta, softmax_rows, theta_from_eta)
 
 SYM_TOL = 1e-12
 
@@ -91,44 +99,94 @@ def bregman_phi(eq: EtaCoord, ep: EtaCoord) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradients of the two losses in both charts
+# vector fields of the two losses
+
+
+def _mixture_pull(e, eta_q, rest):
+    """hess_phi(e) (eta_q - e) per row; rest is each row's last probability."""
+    v = eta_q - e
+    return v / e + v.sum(axis=1, keepdims=True) / rest
+
+
+def _theta_of_eta(e):
+    """Exponential coordinates of mixture rows."""
+    return np.log(e) - np.log(1.0 - e.sum(axis=1, keepdims=True))
+
+
+def _exponential_pull(e, v):
+    """hess_psi v per row, at the point with mixture coordinates e."""
+    return e * v - e * (e * v).sum(axis=1, keepdims=True)
+
+
+def _lq_natural_theta(x, eta_q):
+    p = softmax_rows(x)  # the last probability itself: 1 - sum(eta) cancels
+    return _mixture_pull(p[:, :-1], eta_q, p[:, -1:])
+
+
+FIELDS = {
+    ("Lq", "eta"): lambda x, t: _mixture_pull(
+        x, t, 1.0 - x.sum(axis=1, keepdims=True)),
+    ("Lq", "theta"): lambda x, t: t - softmax_rows(x)[:, :-1],
+    ("Lq", "natural_eta"): lambda x, t: t - x,
+    ("Lq", "natural_theta"): _lq_natural_theta,
+    ("Lstar", "eta"): lambda x, t: t - _theta_of_eta(x),
+    ("Lstar", "theta"): lambda x, t: _exponential_pull(
+        softmax_rows(x)[:, :-1], t - x),
+    ("Lstar", "natural_eta"): lambda x, t: _exponential_pull(
+        x, t - _theta_of_eta(x)),
+    ("Lstar", "natural_theta"): lambda x, t: t - x,
+}
+
+
+def field(loss: str, chart: str, x: np.ndarray,
+          target: np.ndarray) -> np.ndarray:
+    """The field FIELDS[loss, chart] of loss "Lq" or "Lstar" at the (B, n)
+    state rows x of a base chart: -grad L in eta and theta, -hess^-1 grad L
+    in natural_eta and natural_theta.  The target, (n,) or one row per
+    state, is in the coordinates the loss needs: eta_q for L_q, theta_p
+    for L*_p."""
+    return FIELDS[loss, chart](x, target)
+
+
+# ---------------------------------------------------------------------------
+# the same fields as gradients at one point
 
 
 def grad_Lq_eta(ep: EtaCoord, eq: EtaCoord) -> np.ndarray:
     """Gradient of L_q in mixture coordinates: -hess_phi(ep) (eq - ep)."""
     _check_same_n(ep, eq)
-    return -hess_phi_matvec(ep, eq.eta - ep.eta)
+    return -field("Lq", "eta", ep.eta[None], eq.eta)[0]
 
 
 def grad_Lq_theta(tp: ThetaCoord, tq: ThetaCoord) -> np.ndarray:
     """Gradient of L_q in exponential coordinates: eta(tp) - eta(tq)."""
     _check_same_n(tp, tq)
-    return eta_from_theta(tp).eta - eta_from_theta(tq).eta
+    return -field("Lq", "theta", tp.theta[None], eta_from_theta(tq).eta)[0]
 
 
 def grad_Lstar_eta(eq: EtaCoord, ep: EtaCoord) -> np.ndarray:
     """Gradient of L*_p in mixture coordinates: theta(eq) - theta(ep)."""
     _check_same_n(eq, ep)
-    return theta_from_eta(eq).theta - theta_from_eta(ep).theta
+    return -field("Lstar", "eta", eq.eta[None], theta_from_eta(ep).theta)[0]
 
 
 def grad_Lstar_theta(tq: ThetaCoord, tp: ThetaCoord) -> np.ndarray:
     """Gradient of L*_p in exponential coordinates:
     -hess_psi(tq) (tp - tq)."""
     _check_same_n(tq, tp)
-    return -hess_psi_matvec(eta_from_theta(tq), tp.theta - tq.theta)
+    return -field("Lstar", "theta", tq.theta[None], tp.theta)[0]
 
 
 def natural_grad_Lq(ep: EtaCoord, eq: EtaCoord) -> np.ndarray:
     """Fisher-preconditioned gradient of L_q in eta: simply ep - eq."""
     _check_same_n(ep, eq)
-    return ep.eta - eq.eta
+    return -field("Lq", "natural_eta", ep.eta[None], eq.eta)[0]
 
 
 def natural_grad_Lstar(tq: ThetaCoord, tp: ThetaCoord) -> np.ndarray:
     """Fisher-preconditioned gradient of L*_p in theta: simply tq - tp."""
     _check_same_n(tq, tp)
-    return tq.theta - tp.theta
+    return -field("Lstar", "natural_theta", tq.theta[None], tp.theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +207,6 @@ def hess_psi(t: ThetaCoord) -> SymMatrix:
     once the last probability is below the sum's roundoff, as at (37, 0)."""
     eta = simplex_from_theta(t).probs[:-1]
     return SymMatrix(np.diag(eta) - np.outer(eta, eta))
-
-
-def hess_phi_matvec(e: EtaCoord, v: np.ndarray) -> np.ndarray:
-    """hess_phi(e) @ v without forming the matrix (O(n))."""
-    return v / e.eta + v.sum() / (1.0 - e.eta.sum())
-
-
-def hess_psi_matvec(e: EtaCoord, v: np.ndarray) -> np.ndarray:
-    """hess_psi at the point with mixture coordinates e, applied to v (O(n))."""
-    return e.eta * v - e.eta * float(np.dot(e.eta, v))
 
 
 def hess_Lq_eta(ep: EtaCoord, eq: EtaCoord) -> SymMatrix:
@@ -198,7 +246,8 @@ class AffineChart:
     a_matrix: np.ndarray
     b_offset: np.ndarray
     scale_c: float = 1.0
-    a_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    a_inv: np.ndarray = dataclasses.field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         a = np.array(self.a_matrix, dtype=float)

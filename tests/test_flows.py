@@ -190,17 +190,17 @@ def test_integrate_batch_rejects_bad_settings(t_end, dt, sample_every):
 
 
 def test_boundary_escape_on_step_size_underflow(monkeypatch):
-    # an rhs that turns NaN partway makes every later step fail, so the
+    # a field that turns NaN partway makes every later step fail, so the
     # step shrinks until it underflows; the error names where it stopped
-    rhs = flows._Engine.rhs
+    rhs = flows.FIELDS["Lq", "theta"]
     calls = []
 
-    def failing_rhs(self, y):
+    def failing_rhs(y, target):
         calls.append(1)
-        out = rhs(self, y)
+        out = rhs(y, target)
         return out if len(calls) < 50 else np.full_like(out, np.nan)
 
-    monkeypatch.setattr(flows._Engine, "rhs", failing_rhs)
+    monkeypatch.setitem(flows.FIELDS, ("Lq", "theta"), failing_rhs)
     q, p0 = _pair(11, 2)
     inits = np.array([p0.probs, q.probs])
     with pytest.raises(BoundaryEscape) as exc:
@@ -237,8 +237,8 @@ def test_paths_match_high_order_oracle(spec):
     eng = flows._Engine(spec.loss, spec.chart, spec.target, spec.affine)
     ref = integrate_ivp.solve_ivp(
         lambda t, y: eng.rhs(y[None, :])[0], (0.0, 2.0),
-        eng.init_state(spec.init), method="DOP853", rtol=1e-13, atol=1e-15,
-        t_eval=traj.times)
+        eng.init_state(spec.init.probs[None])[0], method="DOP853",
+        rtol=1e-13, atol=1e-15, t_eval=traj.times)
     assert ref.success
     assert np.abs(ref.y.T - traj.states).max() < 1e-8
 
@@ -249,7 +249,7 @@ def _tensordot_integrate(loss, chart, target, init_probs, t_end, dt,
     combination, error estimate and dense-output block: the reference that
     the stage-matrix loop must reproduce bit for bit."""
     eng = flows._Engine(loss, chart, target, affine)
-    y = np.vstack([eng.init_state(SimplexPoint(row)) for row in init_probs])
+    y = eng.init_state(init_probs)
     grid = dt * np.arange(0, np.ceil(t_end / dt) + 1, sample_every)
     times = np.append(grid[grid < t_end - 1e-9 * dt], t_end)
     states = np.empty((times.size,) + y.shape)

@@ -6,14 +6,14 @@ from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, phi,
                                   psi, simplex_from_eta, simplex_from_theta,
                                   to_eta, to_theta)
 from simplex_flows.geometry import (AffineChart, SymMatrix, bregman_phi,
-                                    bregman_psi, grad_Lq_eta, grad_Lq_theta,
-                                    grad_Lstar_eta, grad_Lstar_theta,
-                                    hess_Lq_eta, hess_phi, hess_phi_matvec,
-                                    hess_psi, hess_psi_matvec, kl,
-                                    loss_Lq_theta, loss_Lstar_theta,
-                                    make_identity_chart, natural_grad_Lq,
-                                    natural_grad_Lstar)
-from simplex_flows.rng import make_rng, random_simplex_point
+                                    bregman_psi, field, grad_Lq_eta,
+                                    grad_Lq_theta, grad_Lstar_eta,
+                                    grad_Lstar_theta, hess_Lq_eta, hess_phi,
+                                    hess_psi, kl, loss_Lq_theta,
+                                    loss_Lstar_theta, make_identity_chart,
+                                    natural_grad_Lq, natural_grad_Lstar)
+from simplex_flows.rng import (make_rng, random_simplex_batch,
+                               random_simplex_point)
 
 
 def test_kl_basic_properties(rng):
@@ -109,14 +109,34 @@ def test_natural_gradients_are_coordinate_differences(rng):
                   - natural_grad_Lq(ep, eq)).max() < 1e-10
 
 
-def test_matvec_agrees_with_dense_matrices(rng):
-    p = random_simplex_point(rng, 6)
-    e = to_eta(p)
-    v = np.linspace(-1.0, 1.0, 6)
-    assert np.abs(hess_phi_matvec(e, v)
-                  - hess_phi(e).entries @ v).max() < 1e-10
-    assert np.abs(hess_psi_matvec(e, v)
-                  - hess_psi(to_theta(p)).entries @ v).max() < 1e-12
+def test_field_rows_agree_with_dense_hessians(rng):
+    # five rows, each against its own target: the plain fields are the
+    # Hessian of the potential times a coordinate difference, and each
+    # natural field is the inverse Hessian times the plain one
+    points = random_simplex_batch(rng, 6, 5)
+    targets = random_simplex_batch(rng, 6, 5)
+    e, eq = points[:, :-1], targets[:, :-1]
+    th = np.log(points[:, :-1]) - np.log(points[:, -1:])
+    tp = np.log(targets[:, :-1]) - np.log(targets[:, -1:])
+    fields = {(loss, chart): field(loss, chart, th if chart.endswith("theta")
+                                   else e, eq if loss == "Lq" else tp)
+              for loss in ("Lq", "Lstar")
+              for chart in ("eta", "theta", "natural_eta", "natural_theta")}
+    for b, p in enumerate(points):
+        h_phi = hess_phi(to_eta(SimplexPoint(p))).entries
+        h_psi = hess_psi(to_theta(SimplexPoint(p))).entries
+        row = {key: value[b] for key, value in fields.items()}
+        assert np.abs(row["Lq", "eta"] - h_phi @ (eq[b] - e[b])).max() < 1e-10
+        assert np.abs(row["Lstar", "theta"]
+                      - h_psi @ (tp[b] - th[b])).max() < 1e-10
+        for loss, plain, natural, h in (
+                ("Lq", "eta", "natural_eta", h_phi),
+                ("Lq", "theta", "natural_theta", h_psi),
+                ("Lstar", "eta", "natural_eta", h_phi),
+                ("Lstar", "theta", "natural_theta", h_psi)):
+            want = np.linalg.inv(h) @ row[loss, plain]
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(row[loss, natural] - want).max() < 1e-10 * scale
 
 
 def test_sym_matrix_rejects_asymmetric():

@@ -4,10 +4,12 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from simplex_flows.coords import (ThetaCoord, psi, simplex_from_theta,
-                                  softmax_rows, to_eta)
+from simplex_flows.coords import (MIN_PROB, ThetaCoord, psi,
+                                  simplex_from_theta, softmax_rows, to_eta,
+                                  to_theta, valid_rows)
 from simplex_flows.descent import step_rows
-from simplex_flows.geometry import bregman_phi, bregman_psi, hess_psi, kl
+from simplex_flows.geometry import (bregman_phi, bregman_psi, field, hess_psi,
+                                    kl)
 from simplex_flows.rng import make_rng, random_simplex_point
 from simplex_flows.spectral import eigh, eigvalsh_batch
 
@@ -29,6 +31,39 @@ def test_softmax_rows_are_probability_rows(theta):
 def test_gd_theta_step_stays_finite_at_extreme_theta(theta, alpha, seed):
     target = random_simplex_point(make_rng(seed), theta.shape[1]).probs[:-1]
     assert np.all(np.isfinite(step_rows("gd_theta", theta, target, alpha)))
+
+
+# (B, n+1) weights 10^u, u in [-298, 0]: normalized, every probability is
+# at least 1e-298 / 13 > 1e-300
+WEIGHT_ROWS = arrays(np.float64,
+                     st.tuples(st.integers(1, 4), st.integers(2, 13)),
+                     elements=st.floats(-298.0, 0.0)).map(lambda u: 10.0 ** u)
+
+
+def _target(loss, n, seed):
+    q = random_simplex_point(make_rng(seed), n)
+    return q.probs[:-1] if loss == "Lq" else to_theta(q).theta
+
+
+@given(THETA_ROWS, st.integers(0, 2 ** 16))
+def test_theta_side_fields_stay_finite(theta, seed):
+    # the natural L_q field divides by every probability
+    representable = theta[softmax_rows(theta).min(axis=1) >= MIN_PROB]
+    for loss, chart, x in (("Lq", "theta", theta), ("Lstar", "theta", theta),
+                           ("Lstar", "natural_theta", theta),
+                           ("Lq", "natural_theta", representable)):
+        target = _target(loss, theta.shape[1], seed)
+        assert np.all(np.isfinite(field(loss, chart, x, target)))
+
+
+@given(WEIGHT_ROWS, st.integers(0, 2 ** 16))
+def test_eta_side_fields_stay_finite(weights, seed):
+    eta = (weights / weights.sum(axis=1, keepdims=True))[:, :-1]
+    eta = eta[valid_rows("eta", eta)]  # rows whose 1 - sum(eta) is 0 are not
+    for loss in ("Lq", "Lstar"):
+        target = _target(loss, eta.shape[1], seed)
+        for chart in ("eta", "natural_eta"):
+            assert np.all(np.isfinite(field(loss, chart, eta, target)))
 
 
 @given(arrays(np.float64, st.integers(1, 12), elements=st.floats(-300.0, 300.0)))

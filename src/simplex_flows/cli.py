@@ -363,10 +363,7 @@ def main(argv=None) -> int:
     runner, defaults = _COMMANDS[args.command]
     try:
         return runner(_resolve(args, defaults))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimplexFlowsError as exc:

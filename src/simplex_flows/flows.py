@@ -33,7 +33,7 @@ import numpy as np
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
                      state_rows, to_theta, valid_rows)
 from .errors import BoundaryEscape
-from .geometry import FIELDS, AffineChart, kl_rows
+from .geometry import FIELDS, AffineChart, loss_rows
 
 CHARTS = ("eta", "theta", "natural_eta", "natural_theta",
           "affine_eta", "affine_theta")
@@ -147,14 +147,11 @@ class _Engine:
         return valid_rows(self.base, self.to_base(y))
 
     def kl_to_target(self, y):
-        """KL to the target per row, clipped at 0 (both forms are sums that
-        round to just below 0 near the optimum)."""
+        """The loss per row: geometry.loss_rows, clipped at 0."""
         p = probs_rows(self.base, self.to_base(y))
         if self.base.endswith("theta"):  # every chart reads 1 - sum(eta)
             p[:, -1:] = 1.0 - p[:, :-1].sum(axis=1, keepdims=True)
-        if self.loss == "Lq":
-            return kl_rows(self.q, p)
-        return np.maximum(0.0, (p * (np.log(p) - np.log(self.q))).sum(axis=1))
+        return loss_rows(self.loss, self.q, p)
 
 
 # Dormand-Prince 5(4).  Row s of _A weighs the earlier stages for stage s;

@@ -22,7 +22,8 @@ The natural fields need no linear solve: in the chart where the plain
 field is a Hessian times a difference, the natural one is the difference,
 and in the other chart it is the first chart's plain formula.  The flows
 integrate these fields, descent steps along them, and the scalar
-gradients are one-row calls of field.
+gradients are one-row calls of field.  loss_rows is the KL of probability
+rows for both losses, and loss_Lq_theta and loss_Lstar_theta its one-row calls.
 """
 
 import dataclasses
@@ -67,9 +68,9 @@ class SymMatrix:
 
 
 def kl(q: SimplexPoint, p: SimplexPoint) -> float:
-    """KL divergence D(q||p) = sum q_i log(q_i/p_i)."""
+    """KL divergence D(q||p) = sum q_i log(q_i/p_i), clipped at 0."""
     _check_same_n(q, p)
-    return float(np.dot(q.probs, np.log(q.probs) - np.log(p.probs)))
+    return max(0.0, float(np.dot(q.probs, np.log(q.probs) - np.log(p.probs))))
 
 
 def kl_rows(q: np.ndarray, probs_rows: np.ndarray) -> np.ndarray:
@@ -80,6 +81,19 @@ def kl_rows(q: np.ndarray, probs_rows: np.ndarray) -> np.ndarray:
     row with a zero entry gives inf, a row with a negative entry NaN.
     """
     return np.maximum(0.0, (q * np.log(q)).sum() - np.log(probs_rows) @ q)
+
+
+def loss_rows(loss: str, target: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per probability row p: "Lq" D(target||p) by kl_rows, or "Lstar"
+    D(p||target) as the row sum of p (log p - log target), clipped at 0.  A
+    row sum rounds a row as it rounds that row alone, so a one-row "Lstar"
+    call gives the row of any batch bit for bit (kl_rows' gemv does not)."""
+    if loss == "Lq":
+        return kl_rows(target, probs)
+    if loss != "Lstar":
+        raise ValueError(f"unknown loss {loss!r}")
+    log_ratio = np.log(probs) - np.log(target)
+    return np.maximum(0.0, (probs * log_ratio).sum(axis=1))
 
 
 def bregman_psi(tp: ThetaCoord, tq: ThetaCoord) -> float:
@@ -221,12 +235,19 @@ def hess_Lq_eta(ep: EtaCoord, eq: EtaCoord) -> SymMatrix:
 
 def loss_Lstar_theta(t: ThetaCoord, p: SimplexPoint) -> float:
     """L*_p as a function of theta: D(q(theta) || p).  Not convex in theta."""
-    return kl(simplex_from_theta(t), p)
+    return _loss_theta("Lstar", t, p)
 
 
 def loss_Lq_theta(t: ThetaCoord, q: SimplexPoint) -> float:
     """L_q as a function of theta: D(q || p(theta)).  Convex in theta."""
-    return kl(q, simplex_from_theta(t))
+    return _loss_theta("Lq", t, q)
+
+
+def _loss_theta(loss, t, target):
+    """One-row loss_rows; raises ValueError where a probability underflows."""
+    point = simplex_from_theta(t)
+    _check_same_n(point, target)
+    return float(loss_rows(loss, target.probs, point.probs[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, softmax_rows,
-                     to_eta, to_theta)
+from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, simplex_from_theta,
+                     softmax_rows, to_eta, to_theta)
 from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
                       probs_rows, state_rows, step_rows, valid_rows)
 from .empirical import Dataset, empirical_target, run_empirical
@@ -26,8 +26,8 @@ from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
 from .flows import (check_settings, integrate_batch, integrate_blocks,
                     sample_times)
-from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_Lq_theta,
-                       loss_Lstar_theta, make_identity_chart)
+from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_rows,
+                       make_identity_chart)
 from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
                   normal_vector, random_simplex_batch, random_simplex_point)
 from .spectral import cond, eigh, rank_one_extremes, solve_lyapunov
@@ -37,7 +37,10 @@ FIT_WINDOW = 0.6
 R2_MIN = 0.99
 NG_BAND = (1.9, 2.1)
 NEAR_OPT_KL = 0.05
-DEFAULT_T_END = {2: 1.5}  # every other n defaults to 2.0
+SANDWICH_KL_CAP = 0.1  # sandwich inits are pulled to kl(q||p0) <= this
+AFFINE_RTOL = 0.10  # fitted affine rates within 10% of 2c and 2/c
+ORDERING_FROM = 5  # empirical sandwich: first iteration the ordering holds
+SECTION_S, SECTION_TOL = 0.05, 0.05  # sections: |s| checked, relative slack
 DEFAULT_DT = 1e-3
 DEFAULT_SAMPLE_EVERY = 10
 PATH_STRIDE = 20  # the sandwich keeps every 20th state of each chart
@@ -165,35 +168,29 @@ class RateBounds:
             raise ValueError("need 0 < m_lo <= l_hi")
 
 
-def fit_rate(traj, floor: float = KL_FLOOR,
-             window_frac: float = FIT_WINDOW) -> RateFit:
-    """Fit log KL vs t on the last window_frac of samples above the floor.
+def fit_rate(traj) -> RateFit:
+    """Fit log KL vs t on the last FIT_WINDOW of samples above KL_FLOOR.
 
     The decay is exponential only after an uncharacterized burn-in, so the
     fit deliberately ignores the head of the trajectory.
     """
-    t, v = _fit_arrays(np.asarray(traj.times), np.asarray(traj.kl_values),
-                       floor, window_frac)
-    return _fit_from_arrays(t, v)
+    return _fit(np.asarray(traj.times), np.asarray(traj.kl_values))
 
 
-def _fit_arrays(times, kls, floor, window_frac):
+def _fit(times, kls):
     positive = np.isfinite(kls) & (kls > 0.0)
     if not positive.any():
         raise InsufficientDecay("trajectory KL is identically zero")
     first = kls[positive][0]
     if kls[positive].min() > 0.9 * first:
         raise InsufficientDecay("KL never dropped below 0.9x its initial value")
-    mask = positive & (kls > floor)
+    mask = positive & (kls > KL_FLOOR)
     tt = times[mask]
     vv = np.log(kls[mask])
     if tt.size < 10:
         raise InsufficientDecay("fewer than 10 samples above the KL floor")
-    start = tt.size - int(np.ceil(window_frac * tt.size))
-    return tt[start:], vv[start:]
-
-
-def _fit_from_arrays(tt, vv):
+    start = tt.size - int(np.ceil(FIT_WINDOW * tt.size))
+    tt, vv = tt[start:], vv[start:]
     slope, intercept = np.polyfit(tt, vv, 1)
     resid = vv - (slope * tt + intercept)
     ss_tot = float(((vv - vv.mean()) ** 2).sum())
@@ -296,18 +293,16 @@ def draw_instance(rng, n: int, balance: float = 0.3) -> SimplexPoint:
 def sandwich_experiment(n: int, n_inits: int, seed: int,
                         t_end: Optional[float] = None, dt: float = DEFAULT_DT,
                         sample_every: int = DEFAULT_SAMPLE_EVERY,
-                        r2_min: float = R2_MIN, ng_band=NG_BAND,
-                        kl_cap: float = 0.1,
                         out_dir: Optional[str] = None) -> dict:
     """Fit decay rates of the three flows of L_q from many random inits.
 
     Checks, per init: theta-rate < 2 < eta-rate, natural rate inside
-    ng_band, every fit R^2 >= r2_min; also that the integrated natural flow
+    NG_BAND, every fit R^2 >= R2_MIN; also that the integrated natural flow
     matches its closed-form solution to 1e-8.
 
     The rate claims are asymptotic, so random inits are pulled along the
-    mixture line toward the optimum until kl(q||p0) <= kl_cap, and each
-    chart gets its own horizon, long enough that the tail fit window sits
+    mixture line toward the optimum until kl(q||p0) <= SANDWICH_KL_CAP, and
+    each chart gets its own horizon, long enough that the tail fit window sits
     in the regime where the slowest curvature mode at the optimum
     dominates.  (With a single shared horizon the slow theta flow is still
     mid-transient when the fast eta flow is already at the KL floor, and
@@ -327,10 +322,8 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     check_settings(dt, sample_every, t_end)
     rng = make_rng(seed)
     q = draw_instance(rng, n)
-    inits = random_simplex_batch(rng, n, n_inits)
-    if kl_cap is not None:
-        inits = np.array([draw_near(q, SimplexPoint(row), kl_cap).probs
-                          for row in inits])
+    inits = np.array([draw_near(q, SimplexPoint(row), SANDWICH_KL_CAP).probs
+                      for row in random_simplex_batch(rng, n, n_inits)])
 
     vals = eigh(hess_phi(to_eta(q))).values
     kl0_max = max(kl(q, SimplexPoint(row)) for row in inits)
@@ -376,9 +369,7 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     ok_order = ok_band = ok_r2 = True
     for b in range(n_inits):
         try:
-            fits = {c: _fit_from_arrays(*_fit_arrays(results[c][0],
-                                                     results[c][2][:, b],
-                                                     KL_FLOOR, FIT_WINDOW))
+            fits = {c: _fit(results[c][0], results[c][2][:, b])
                     for c in ("eta", "natural_eta", "theta")}
         except InsufficientDecay:
             excluded.append(b)
@@ -387,16 +378,16 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
         r_ng = fits["natural_eta"].slope
         r_theta = fits["theta"].slope
         ok_order &= r_theta < 2.0 < r_eta
-        ok_band &= ng_band[0] <= r_ng <= ng_band[1]
-        ok_r2 &= min(f.r_squared for f in fits.values()) >= r2_min
+        ok_band &= NG_BAND[0] <= r_ng <= NG_BAND[1]
+        ok_r2 &= min(f.r_squared for f in fits.values()) >= R2_MIN
         rows.append((b, r_eta, r_ng, r_theta, fits["eta"].r_squared,
                      fits["natural_eta"].r_squared, fits["theta"].r_squared))
 
     summary = {
         "experiment": "sandwich",
         "config": {"n": n, "n_inits": n_inits, "seed": seed, "t_end": t_end,
-                   "dt": dt, "sample_every": sample_every, "r2_min": r2_min,
-                   "ng_band": list(ng_band), "kl_cap": kl_cap},
+                   "dt": dt, "sample_every": sample_every, "r2_min": R2_MIN,
+                   "ng_band": list(NG_BAND), "kl_cap": SANDWICH_KL_CAP},
         "horizons": horizons,
         "excluded_inits": excluded,
         "seed": seed,
@@ -422,7 +413,6 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
 def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
                            p0: SimplexPoint, dt: float = DEFAULT_DT,
                            sample_every: int = DEFAULT_SAMPLE_EVERY,
-                           rtol: float = 0.10,
                            out_dir: Optional[str] = None) -> dict:
     """Fitted rates in conditioning-equalized affine charts vs 2c and 2/c.
 
@@ -459,12 +449,11 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
                 "Lq", chart_kind, q, p_near.probs[None, :], t_end,
                 dt=dt_chart, sample_every=sample_every, affine=chart)
             try:
-                fit = _fit_from_arrays(*_fit_arrays(times, kls[:, 0],
-                                                    KL_FLOOR, FIT_WINDOW))
+                fit = _fit(times, kls[:, 0])
             except InsufficientDecay as exc:
                 raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
             fits[chart_kind] = fit
-            ok_rates &= abs(fit.slope - expected) <= rtol * expected
+            ok_rates &= abs(fit.slope - expected) <= AFFINE_RTOL * expected
         rows.append((c, fits["affine_eta"].slope, 2.0 * c,
                      fits["affine_theta"].slope, 2.0 / c,
                      fits["affine_eta"].r_squared,
@@ -473,7 +462,7 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     summary = {
         "experiment": "affine",
         "config": {"c_values": list(map(float, c_values)), "dt": dt,
-                   "sample_every": sample_every, "rtol": rtol},
+                   "sample_every": sample_every, "rtol": AFFINE_RTOL},
         "target": q.probs.tolist(),
         "init": p_near.probs.tolist(),
         "assertions": {
@@ -624,7 +613,6 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
 
 def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
                        n_samples: int = 100000, max_iters: int = 100,
-                       ordering_from: int = 5,
                        out_dir: Optional[str] = None) -> dict:
     """Full-batch descent at one small shared step size, all three methods.
 
@@ -648,7 +636,7 @@ def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
         curves[method] = traj.kl_values
     ks = np.arange(max_iters + 1)
     slack = 1e-12
-    tail = slice(ordering_from, None)
+    tail = slice(ORDERING_FROM, None)
     ordered = bool(
         np.all(curves["gd_eta"][tail] <= curves["ngd"][tail] + slack)
         and np.all(curves["ngd"][tail] <= curves["gd_theta"][tail] + slack))
@@ -658,11 +646,11 @@ def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
         "experiment": "empirical_sandwich",
         "config": {"n": n, "seed": seed, "alpha": alpha,
                    "n_samples": n_samples, "max_iters": max_iters,
-                   "ordering_from": ordering_from},
+                   "ordering_from": ORDERING_FROM},
         "target": q.probs.tolist(),
         "plateau_kl_q_qhat": plateau,
         "assertions": {
-            f"ordering_eta_le_ng_le_theta_from_k{ordering_from}": ordered,
+            f"ordering_eta_le_ng_le_theta_from_k{ORDERING_FROM}": ordered,
         },
         "rows": [list(map(float, r)) for r in rows],
     }
@@ -672,10 +660,6 @@ def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
 
 
 # --- noise robustness -------------------------------------------------------
-
-
-def _spectral_norm(mat):
-    return float(np.linalg.norm(mat, 2))
 
 
 def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
@@ -753,7 +737,7 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
             e = closed_loop @ e
             min_norm = min(min_norm, float(np.linalg.norm(e)))
         gd_results[name] = {
-            "delta_norm": _spectral_norm(delta),
+            "delta_norm": float(np.linalg.norm(delta, 2)),
             "eig_dist_to_minus_1": dist,
             "min_error_norm_1e3_steps": min_norm,
             "non_convergent": bool(min_norm >= 0.5),
@@ -871,49 +855,6 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
 # --- nonconvexity witness ---------------------------------------------------
 
 
-def _probe(f, probe: int, th_a: np.ndarray, th_b: np.ndarray):
-    """One probe of the witness search in scalar arithmetic: the witness
-    dict if the midpoint leaves the endpoints' sublevel set, else None.
-    A point the loss cannot represent raises ValueError naming it."""
-    if np.linalg.norm(th_a - th_b) < 1e-6:
-        return None  # degenerate pair carries no information
-    th_mid = 0.5 * (th_a + th_b)
-    values = {}
-    for name, key, th in (("theta_a", "f_a", th_a), ("theta_b", "f_b", th_b),
-                          ("theta_mid", "f_mid", th_mid)):
-        try:
-            values[key] = f(th)
-        except ValueError as exc:
-            raise ValueError(f"probe {probe}: {name}: {exc}") from exc
-    level = max(values["f_a"], values["f_b"])
-    if values["f_mid"] > level + 1e-9 * max(1.0, abs(level)):
-        return {"theta_a": th_a, "theta_b": th_b, "theta_mid": th_mid,
-                "values": {**values, "level": level}, "probes": probe}
-    return None
-
-
-def _screen_losses(loss: str, theta_rows: np.ndarray, p: SimplexPoint):
-    """The witness loss of every row of theta_rows, summed by numpy.
-
-    Returns (f, err, ok).  err bounds |f - scalar f| row by row:
-    4 (n+1) eps sum_i q_i (1 + |log q_i| + |log r_i|) for f = sum_i
-    q_i (log q_i - log r_i).  Half of it covers any two summation orders
-    of the n+1 terms (np.dot fuses multiply-adds, a row sum does not),
-    half a last-bit difference in a probability or its log.  ok is False
-    where the scalar path could raise: an entry below 2 MIN_PROB.  (The
-    rows sum to 1 within (n+2) eps, far inside SimplexPoint's SUM_TOL.)
-    """
-    probs = softmax_rows(theta_rows)
-    logs = np.log(probs)
-    log_p = np.log(p.probs)
-    q, log_q, log_r = ((probs, logs, log_p) if loss == "Lstar"
-                       else (p.probs, log_p, logs))
-    f = (q * (log_q - log_r)).sum(axis=1)
-    scale = (q * (1.0 + np.abs(log_q) + np.abs(log_r))).sum(axis=1)
-    err = 4 * (p.n + 1) * np.finfo(float).eps * scale
-    return f, err, probs.min(axis=1) >= 2 * MIN_PROB
-
-
 def nonconvexity_witness(p: SimplexPoint, search_seed: int,
                          budget: int = 10000, box: float = 8.0,
                          loss: str = "Lstar") -> dict:
@@ -921,23 +862,21 @@ def nonconvexity_witness(p: SimplexPoint, search_seed: int,
 
     Draws pairs theta_a, theta_b uniformly from [-box, box]^n and accepts
     when the loss at the midpoint exceeds the max of the endpoint losses
-    (so both endpoints sit in a sublevel set the midpoint leaves).  For
-    loss="Lstar" (KL with the moving point as first argument) a witness
-    exists for asymmetric p; for loss="Lq" convexity guarantees none.
+    by more than 1e-9 max(1, |level|) (so both endpoints sit in a sublevel
+    set the midpoint leaves).  For loss="Lstar" (KL with the moving point
+    as first argument) a witness exists for asymmetric p; for loss="Lq"
+    convexity guarantees none.
 
     The probes are drawn in blocks of WITNESS_BLOCK with one
     rng.random((k, 2, n)) call each, the same Philox stream as one (2, n)
-    draw per probe, so memory stays bounded at any budget.  A block is
-    screened in rows: the three losses of every probe come from one
-    softmax_rows and one np.log, and a probe is a candidate when its
-    acceptance margin f_mid - level - 1e-9 max(1, |level|) lies above
-    -band, where band = 2 (err_a + err_b + err_mid) covers the distance
-    between the row sums and np.dot (see _screen_losses).  Candidates,
-    near-degenerate pairs and rows the scalar path could reject are
-    re-checked in order by the scalar loss through ThetaCoord and
-    SimplexPoint, which decides the skip, the test and the returned
-    values.  So the result, or the ValueError of the first probe holding
-    an unrepresentable point, is the one a probe-by-probe loop gives.
+    draw per probe, so memory stays bounded at any budget.  A block's 3k
+    points take one softmax_rows and one loss_rows call, so the L* values
+    are loss_Lstar_theta's bit for bit.  (L_q's gemv rounds by row count,
+    but by convexity its margin is at most -1e-9 max(1, |level|).)  The
+    first probe, in order and skipping degenerate pairs, that is a witness
+    or holds a probability below MIN_PROB decides: the witness is returned,
+    or the point's ValueError is raised again naming the probe and point,
+    as a probe-by-probe loop would.
     """
     if loss not in ("Lstar", "Lq"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -945,28 +884,37 @@ def nonconvexity_witness(p: SimplexPoint, search_seed: int,
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not (np.isfinite(box) and box > 0):
         raise ValueError(f"box must be finite and positive, got {box}")
-    f = ((lambda th: loss_Lstar_theta(ThetaCoord(th), p)) if loss == "Lstar"
-         else (lambda th: loss_Lq_theta(ThetaCoord(th), p)))
     rng = make_rng(search_seed)
     n = p.n
+    names = ("theta_a", "theta_b", "theta_mid")
     for start in range(0, budget, WITNESS_BLOCK):
         k = min(WITNESS_BLOCK, budget - start)
         pairs = (2.0 * rng.random((k, 2, n)) - 1.0) * box
         points = np.concatenate([pairs, 0.5 * (pairs[:, :1] + pairs[:, 1:])],
                                 axis=1)
-        # an underflowed row gives log 0 and NaN margins; ok sends it on
+        probs = softmax_rows(points.reshape(-1, n))
+        bad = ~(probs >= MIN_PROB).all(axis=1).reshape(k, 3)
+        # an underflowed row gives log 0 and NaN values; bad decides it
         with np.errstate(divide="ignore", invalid="ignore"):
-            f_rows, err, ok = _screen_losses(loss, points.reshape(-1, n), p)
-            f_a, f_b, f_mid = f_rows.reshape(k, 3).T
+            f_a, f_b, f_mid = loss_rows(loss, p.probs, probs).reshape(k, 3).T
             level = np.maximum(f_a, f_b)
-            margin = f_mid - level - 1e-9 * np.maximum(1.0, np.abs(level))
-        band = 2.0 * err.reshape(k, 3).sum(axis=1)
-        check = (~ok.reshape(k, 3).all(axis=1) | (margin > -band)
-                 | (np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1) < 2e-6))
-        for i in np.flatnonzero(check):
-            witness = _probe(f, start + int(i) + 1, pairs[i, 0], pairs[i, 1])
-            if witness is not None:
-                return witness
+            hit = f_mid > level + 1e-9 * np.maximum(1.0, np.abs(level))
+        for i in np.flatnonzero(bad.any(axis=1) | hit):
+            if np.linalg.norm(pairs[i, 0] - pairs[i, 1]) < 1e-6:
+                continue  # degenerate pair carries no information
+            probe = start + int(i) + 1
+            # a point the loss cannot represent raises as in loss_*_theta
+            for name, th in zip(names, points[i]):
+                try:
+                    simplex_from_theta(ThetaCoord(th))
+                except ValueError as exc:
+                    raise ValueError(f"probe {probe}: {name}: {exc}") from exc
+            return {"theta_a": points[i, 0], "theta_b": points[i, 1],
+                    "theta_mid": points[i, 2],
+                    "values": {"f_a": float(f_a[i]), "f_b": float(f_b[i]),
+                               "f_mid": float(f_mid[i]),
+                               "level": float(level[i])},
+                    "probes": probe}
     raise WitnessNotFound(f"no midpoint violation in {budget} probes")
 
 
@@ -974,15 +922,15 @@ def nonconvexity_witness(p: SimplexPoint, search_seed: int,
 
 
 def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
-                   seed: int = 0, small_s: float = 0.05,
-                   tol: float = 0.05, out_dir: Optional[str] = None) -> dict:
+                   seed: int = 0, out_dir: Optional[str] = None) -> dict:
     """One-dimensional slices of L_q through the optimum in both charts.
 
     For each unit direction v the table holds L_q(eta_q + s v),
     L_q(theta_q + s v) and the reference s^2/2.  Because the curvature is
     above identity in the mixture chart and below identity in the
-    exponential chart, for small |s| the eta-sections dominate the
-    reference and the theta-sections stay below it.  Grid points that push
+    exponential chart, for small |s| (up to SECTION_S) the eta-sections
+    dominate the reference and the theta-sections stay below it, within a
+    relative SECTION_TOL.  Grid points that push
     eta out of the simplex are truncated (reported as NaN).
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
@@ -1006,17 +954,17 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
                 sec_eta = kl(q, SimplexPoint(np.append(eta, 1.0 - eta.sum())))
             else:
                 sec_eta = float("nan")
-            sec_theta = loss_Lq_theta(ThetaCoord(theta_q + s * v), q)
-            if 0 < abs(s) <= small_s:
+            sec_theta = kl(q, simplex_from_theta(ThetaCoord(theta_q + s * v)))
+            if 0 < abs(s) <= SECTION_S:
                 if np.isfinite(sec_eta):
-                    ok_eta &= sec_eta >= ref * (1.0 - tol)
-                ok_theta &= sec_theta <= ref * (1.0 + tol)
+                    ok_eta &= sec_eta >= ref * (1.0 - SECTION_TOL)
+                ok_theta &= sec_theta <= ref * (1.0 + SECTION_TOL)
             rows.append((i, float(s), sec_eta, sec_theta, ref))
     summary = {
         "experiment": "sections",
         "config": {"n": n, "n_directions": n_directions,
                    "s_grid": s_grid.tolist(), "seed": seed,
-                   "small_s": small_s, "tol": tol},
+                   "small_s": SECTION_S, "tol": SECTION_TOL},
         "target": q.probs.tolist(),
         "assertions": {
             "eta_sections_above_reference": bool(ok_eta),

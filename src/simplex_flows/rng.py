@@ -7,9 +7,10 @@ Box-Muller transform on top of the uniform stream, in one place:
 ``normal_rows(rng, count, dim)``.  Its row k equals, bit for bit, the k-th of
 ``count`` successive ``normal_vector(rng, dim)`` calls, and it leaves the
 generator in the same state, so a loop that draws one vector per step can
-draw all of its steps in one call up front.  In the same way,
-``first_simplex_point`` screens many simplex draws at once, yet returns the
-draw and leaves the state that a loop of single draws would.
+draw all of its steps in one call up front.  In the same way, row k of
+``random_simplex_batch`` is the k-th ``random_simplex_point`` draw bit for
+bit, so ``first_simplex_point`` scans a block of draws at once, yet returns
+the draw and leaves the state that a loop of single draws would.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .coords import SimplexPoint
 
 TWO_PI = 2.0 * np.pi
-DRAW_BLOCK = 1024  # simplex draws screened at once by first_simplex_point
+DRAW_BLOCK = 1024  # simplex draws scanned at once by first_simplex_point
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -66,23 +67,17 @@ def first_simplex_point(rng: np.random.Generator, n: int, floor: float,
     """The first of up to budget random_simplex_point draws whose smallest
     probability is at least floor, or None.
 
-    Draws are screened DRAW_BLOCK rows at a time with random_simplex_batch.
-    The screen passes a band of 1e-9 below the floor, so that no rounding
-    difference between its row sums and a single draw's sum can hide a hit;
-    the first hit is drawn again as a single point from its place in the
-    stream, and that draw decides.
+    Draws are scanned DRAW_BLOCK rows at a time with random_simplex_batch,
+    whose rows are the single draws.  On a hit the generator is rewound to
+    just after the hit's row, where a loop of single draws would stop.
     """
     while budget > 0:
         state = rng.bit_generator.state
         rows = random_simplex_batch(rng, n, min(DRAW_BLOCK, budget))
-        hits = np.flatnonzero(rows.min(axis=1) >= floor * (1.0 - 1e-9))
-        if hits.size == 0:
-            budget -= rows.shape[0]
-            continue
-        rng.bit_generator.state = state
-        rng.random((hits[0], n + 1))  # the rejected draws before the hit
-        q = random_simplex_point(rng, n)
-        budget -= hits[0] + 1
-        if q.probs.min() >= floor:
-            return q
+        hits = np.flatnonzero(rows.min(axis=1) >= floor)
+        if hits.size:
+            rng.bit_generator.state = state
+            rng.random((hits[0] + 1, n + 1))  # the draws up to the hit
+            return SimplexPoint(rows[hits[0]])
+        budget -= rows.shape[0]
     return None

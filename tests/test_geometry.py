@@ -10,7 +10,8 @@ from simplex_flows.geometry import (AffineChart, SymMatrix, bregman_phi,
                                     grad_Lq_theta, grad_Lstar_eta,
                                     grad_Lstar_theta, hess_Lq_eta, hess_phi,
                                     hess_psi, kl, loss_Lq_theta,
-                                    loss_Lstar_theta, make_identity_chart,
+                                    loss_Lstar_theta, loss_rows,
+                                    make_identity_chart,
                                     natural_grad_Lq, natural_grad_Lstar)
 from simplex_flows.rng import (make_rng, random_simplex_batch,
                                random_simplex_point)
@@ -23,6 +24,28 @@ def test_kl_basic_properties(rng):
     assert kl(q, p) > 0.0
     with pytest.raises(ValueError):
         kl(q, random_simplex_point(rng, 3))
+
+
+def test_kl_at_the_target_is_not_negative():
+    # the sum q (log q - log p) rounds to just below 0 for about a third of
+    # these targets when p is q rebuilt from its mixture coordinates
+    rng = make_rng(0)
+    for n in (2, 10):
+        for _ in range(100):
+            q = random_simplex_point(rng, n)
+            assert kl(q, simplex_from_eta(to_eta(q))) >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 20])
+@pytest.mark.parametrize("m", [1, 3, 768])
+def test_lstar_loss_rows_equal_one_row_calls(m, n):
+    rng = make_rng(n)
+    target = random_simplex_point(rng, n).probs
+    probs = random_simplex_batch(rng, n, m)
+    values = loss_rows("Lstar", target, probs)
+    for row, value in zip(probs, values):
+        alone = loss_rows("Lstar", target, row[None])[0]
+        assert value.tobytes() == alone.tobytes()
 
 
 def test_three_divergences_coincide(rng):

@@ -1,11 +1,13 @@
 """Property-based tests at the numeric edges of the charts."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from simplex_flows.coords import (MIN_PROB, ThetaCoord, psi,
-                                  simplex_from_theta, softmax_rows, to_eta,
+from simplex_flows.coords import (MIN_PROB, EtaCoord, ThetaCoord,
+                                  eta_from_theta, psi, simplex_from_theta,
+                                  softmax_rows, theta_from_eta, to_eta,
                                   to_theta, valid_rows)
 from simplex_flows.descent import step_rows
 from simplex_flows.geometry import (bregman_phi, bregman_psi, field, hess_psi,
@@ -98,3 +100,38 @@ def test_bregman_divergences_equal_kl(thetas):
     tol = 4.0 * EPS * (max(1.0, d) / p.probs.min() + psi(tq))
     assert abs(bregman_psi(tp, tq) - d) <= tol
     assert abs(bregman_phi(to_eta(q), to_eta(p)) - d) <= tol
+
+
+@given(arrays(np.float64, st.integers(2, 13), elements=st.floats(-300.0, 0.0)))
+def test_chart_round_trips_at_extreme_eta(exponents):
+    # probabilities 10^x / sum, entries down to 1e-300
+    p = 10.0 ** exponents
+    p /= p.sum()
+    assume(p.min() >= MIN_PROB and 1.0 - p[:-1].sum() >= MIN_PROB)
+    e = EtaCoord(p[:-1])
+    t = theta_from_eta(e)
+    assert np.all(np.isfinite(t.theta))
+    if 1.0 - e.eta.sum() <= EPS:
+        return  # the sum's roundoff edge, pinned by the next test
+    back = eta_from_theta(t)
+    assert np.all(np.abs(back.eta - e.eta) <= 1e-12 * e.eta)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True, reason=(
+    "eta_from_theta rejects the theta of an eta whose last probability "
+    "1 - sum(eta) is at the sum's roundoff: the softmax entries sum to 1.0"))
+def test_eta_round_trip_at_the_sum_roundoff_edge():
+    p = 10.0 ** np.array([-2.0, -0.5, 0.0] + [-0.5] * 7 + [-16.0])
+    p /= p.sum()
+    e = EtaCoord(p[:-1])  # 1 - sum(eta) is eps / 2
+    back = eta_from_theta(theta_from_eta(e))
+    assert np.all(np.abs(back.eta - e.eta) <= 1e-12 * e.eta)
+
+
+@given(arrays(np.float64, st.integers(1, 12), elements=st.floats(-700.0, 700.0)))
+def test_psi_is_a_finite_log_sum_exp(theta):
+    value = psi(ThetaCoord(theta))
+    reference = np.logaddexp.reduce(np.append(theta, 0.0))
+    assert np.isfinite(value)
+    assert abs(value - reference) <= 4 * (theta.size + 2) * EPS * max(
+        1.0, abs(reference))

@@ -1,11 +1,13 @@
-"""normal_rows is the one Box-Muller: the same stream, drawn in one call."""
+"""normal_rows is the one Box-Muller, and random_simplex_batch the simplex
+draws: the same streams, drawn in one call."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from simplex_flows.rng import (TWO_PI, make_rng, normal_matrix, normal_rows,
-                               normal_vector)
+                               normal_vector, random_simplex_batch,
+                               random_simplex_point)
 
 
 def _former_normal_vector(rng, dim):
@@ -56,3 +58,14 @@ def test_normal_matrix_equals_former_implementation(rows, cols):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 50), st.integers(1, 12))
 def test_normal_rows_stream_property(seed, count, dim):
     _assert_rows_match_successive_vectors(seed, count, dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+def test_simplex_batch_rows_equal_successive_points(n):
+    for seed in range(20):
+        rng_rows, rng_loop = make_rng(seed), make_rng(seed)
+        for row in random_simplex_batch(rng_rows, n, 75):
+            point = random_simplex_point(rng_loop, n)
+            assert row.tobytes() == point.probs.tobytes()
+        # the generator ends in the same state
+        assert rng_rows.random() == rng_loop.random()

@@ -116,8 +116,14 @@ def _print_kv(key, value):
     print(f"{key} = {value}")
 
 
-def _assertions_ok(summary):
-    return all(bool(v) for v in summary["assertions"].values())
+def _report(summary, *keys):
+    """Print the summary's assertions, then summary[key] for each key; the
+    exit code is 0 when every assertion holds, else 1."""
+    for key, val in summary["assertions"].items():
+        _print_kv(key, val)
+    for key in keys:
+        _print_kv(key, summary[key])
+    return 0 if all(bool(v) for v in summary["assertions"].values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +134,7 @@ def _cmd_sandwich(s):
     summary = lab.sandwich_experiment(
         s["n"], s["inits"], s["seed"], t_end=s["t_end"], dt=s["dt"],
         sample_every=s["sample_every"], out_dir=s["out"] or None)
-    for key, val in summary["assertions"].items():
-        _print_kv(key, val)
-    _print_kv("natural_exact_max_err", summary["natural_exact_max_err"])
-    return 0 if _assertions_ok(summary) else 1
+    return _report(summary, "natural_exact_max_err")
 
 
 def _cmd_affine(s):
@@ -142,9 +145,7 @@ def _cmd_affine(s):
                                          out_dir=s["out"] or None)
     for row in summary["rows"]:
         print(",".join(fmt9(v) for v in row))
-    for key, val in summary["assertions"].items():
-        _print_kv(key, val)
-    return 0 if _assertions_ok(summary) else 1
+    return _report(summary)
 
 
 def _cmd_sweep(s):
@@ -168,9 +169,7 @@ def _cmd_robustness(s):
     seeds = [s["seed"] * 1000 + i for i in range(s["n_seeds"])]
     summary = lab.robustness_experiment(s["kind"], q, seeds,
                                         out_dir=s["out"] or None)
-    for key, val in summary["assertions"].items():
-        _print_kv(key, val)
-    return 0 if _assertions_ok(summary) else 1
+    return _report(summary)
 
 
 def _cmd_empirical(s):
@@ -178,10 +177,7 @@ def _cmd_empirical(s):
                                      n_samples=s["n_samples"],
                                      max_iters=s["max_iters"],
                                      out_dir=s["out"] or None)
-    for key, val in summary["assertions"].items():
-        _print_kv(key, val)
-    _print_kv("plateau_kl_q_qhat", summary["plateau_kl_q_qhat"])
-    return 0 if _assertions_ok(summary) else 1
+    return _report(summary, "plateau_kl_q_qhat")
 
 
 def _cmd_nonconvexity(s):
@@ -207,9 +203,7 @@ def _cmd_sections(s):
     grid = np.linspace(-s["s_max"], s["s_max"], s["s_count"])
     summary = lab.local_sections(q, s["directions"], grid, seed=s["seed"],
                                  out_dir=s["out"] or None)
-    for key, val in summary["assertions"].items():
-        _print_kv(key, val)
-    return 0 if _assertions_ok(summary) else 1
+    return _report(summary)
 
 
 def _cmd_convert(s):
@@ -252,10 +246,7 @@ def _cmd_fit_rate(s):
 
 
 def _cmd_selftest(s):
-    failures = run_selftest()
-    for name, ok in failures.items():
-        _print_kv(name, ok)
-    return 0 if all(failures.values()) else 1
+    return _report({"assertions": run_selftest()})
 
 
 def run_selftest() -> dict:

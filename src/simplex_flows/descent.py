@@ -16,12 +16,11 @@ eta_q at step size alpha:
 
 Each method is an Euler step x <- x + alpha field along the L_q vector
 field of its chart (eta, theta and natural_eta): the geometry.field that
-the flows integrate.  One batched kernel, step_rows, takes that step for
-(B, n) rows of states, with the chart maps state_rows, probs_rows and
-valid_rows of the coords module.  run, the minibatch descent in the
-empirical module and the learning-rate sweeps in the lab module all call
-them (a single run is a batch of one, and a sweep steps all its rates in
-one batch with a column of step sizes).
+the flows integrate, taken for (B, n) state rows by step_rows.  The one
+descent loop is the generator descend_rows: run, the minibatch descent of
+the empirical module and the learning-rate sweeps of the lab module drain
+it (a run is a batch of one row, a sweep steps all its rates in one batch
+with a column of step sizes).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
@@ -165,26 +164,72 @@ def step(spec: DescentSpec, state, k: int = 0, rng=None):
     return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
 
+def descend_rows(method: str, x: np.ndarray, lr, q: np.ndarray,
+                 tol: Optional[float], max_iters: int,
+                 decay_a: Optional[float] = None,
+                 draw: Optional[Callable] = None, group: Optional[int] = None):
+    """Nonlinear descent of the (R, n) state rows x toward the probability
+    vector q: yields (k, rows, x, gaps) for k = 0, ..., max_iters, the live
+    row indices, their states and their gaps kl_rows(q, p) (inf, silently,
+    where a probability underflows to 0).  Row r steps from iteration k
+    with lr[r] (times a/(k + a) given decay_a = a) toward q, or toward the
+    rows of draw(rows).  A row leaves once its gap is within tol; one that
+    leaves the domain finishes its group of rows (r // group) or, with no
+    group, raises check_rows' error."""
+    rows, lr = np.arange(len(x)), np.asarray(lr, dtype=float)[:, None]
+    for k in range(max_iters + 1):
+        if k:
+            alpha = lr if decay_a is None else lr * decay_a / (k - 1 + decay_a)
+            x = step_rows(method, x, draw(rows) if draw else q[:-1], alpha)
+            ok = valid_rows(method, x)
+            if not ok.all():
+                if group is None:
+                    check_rows(method, x, k, alpha[np.argmin(ok), 0])
+                ok = ~np.isin(rows // group, rows[~ok] // group)
+                rows, x, lr = rows[ok], x[ok], lr[ok]
+        with np.errstate(divide="ignore"):
+            gaps = kl_rows(q, probs_rows(method, x))
+        yield k, rows, x, gaps
+        live = slice(None) if tol is None else ~(gaps <= tol)
+        rows, x, lr = rows[live], x[live], lr[live]
+        if not rows.size:
+            return
+
+
+def descend(spec: DescentSpec, lr: float, q: np.ndarray, tol: Optional[float],
+            decay_a: Optional[float] = None, draw: Optional[Callable] = None):
+    """States and gaps of descend_rows from spec.init with step size lr, its
+    initial state checked too, for at most spec.max_iters iterations."""
+    x = state_rows(spec.method, spec.init.probs[None, :])
+    check_rows(spec.method, x, 0, lr)
+    path = [(x[0], gaps[0]) for _, _, x, gaps in descend_rows(
+        spec.method, x, [lr], q, tol, spec.max_iters, decay_a, draw)]
+    return tuple(np.array(v) for v in zip(*path))
+
+
 def run(spec: DescentSpec, tol: Optional[float] = None,
         record_kl: bool = True) -> Trajectory:
     """Iterate the update, recording the state and KL to the target.
 
-    Stops early once KL drops to tol (if given).  Noise-free runs whose
-    mixture state leaves the simplex raise BoundaryEscape; overflowing
-    exponential states raise NonFinite.  Noisy runs record NaN for the KL
-    whenever the state has no interior representation.
+    Stops early once KL drops to tol (if given and record_kl).  Noise-free
+    runs whose mixture state leaves the simplex raise BoundaryEscape;
+    overflowing exponential states raise NonFinite.  Noisy runs record NaN
+    for the KL whenever the state has no interior representation.
     """
     method, q = spec.method, spec.target.probs
-    noisy = spec.noise.kind != "none"
+    if spec.variant == "nonlinear":
+        states, kls = descend(spec, spec.learning_rate, q,
+                              tol if record_kl else None)
+        return Trajectory(np.arange(len(states), dtype=float), states,
+                          kls if record_kl else np.full(len(kls), np.nan))
+    x_star = state_rows(method, q[None, :])
+    q_mat = _curvature_at_optimum(spec)
+    rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
     x = state_rows(method, spec.init.probs[None, :])
-    if spec.variant == "linearized":
-        x_star = state_rows(method, q[None, :])
-        q_mat = _curvature_at_optimum(spec)
-        rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
-        e = x[0] - x_star[0]
+    e = x[0] - x_star[0]
 
     def kl_of(xv, k):
-        if noisy and not valid_rows(method, xv)[0]:
+        if spec.noise.kind != "none" and not valid_rows(method, xv)[0]:
             return np.nan
         check_rows(method, xv, k, spec.learning_rate)
         return kl_rows(q, probs_rows(method, xv))[0] if record_kl else np.nan
@@ -193,11 +238,8 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
     for k in range(spec.max_iters):
         if record_kl and tol is not None and kls[-1] <= tol:
             break
-        if spec.variant == "linearized":
-            e = _error_update(spec, e, k, q_mat, rng)
-            x = x_star + e
-        else:
-            x = step_rows(method, x, q[:-1], spec.learning_rate)
+        e = _error_update(spec, e, k, q_mat, rng)
+        x = x_star + e
         states.append(x[0])
         kls.append(kl_of(x, k + 1))
     return Trajectory(np.arange(len(states), dtype=float),

@@ -4,10 +4,11 @@ A dataset is a multinomial count vector drawn from a true distribution q.
 The empirical loss is the KL divergence to the empirical distribution
 q_hat, so full-batch descent on the empirical loss is exactly descent
 toward q_hat and reuses the descent module unchanged.  Minibatch descent
-resamples a small sub-dataset each iteration (uniformly from the stored
-counts, without replacement) and substitutes its empirical distribution
-into the cross-entropy form of the gradient, which stays finite even when
-the minibatch misses an outcome.  Convergence is always measured against
+is the same descent loop (descent.descend) with a drawn target: each
+iteration resamples a small sub-dataset (uniformly from the stored counts,
+without replacement) and substitutes its empirical distribution into the
+cross-entropy form of the gradient, which stays finite even when the
+minibatch misses an outcome.  Convergence is always measured against
 q_hat -- the minimizer of what is actually being optimized -- while the KL
 to the true q is recorded alongside to show the irreducible gap D(q||q_hat).
 """
@@ -21,7 +22,7 @@ from . import descent
 from .coords import SimplexPoint
 from .errors import ZeroCount
 from .flows import Trajectory
-from .geometry import kl, kl_rows
+from .geometry import kl
 from .rng import make_rng
 
 
@@ -121,7 +122,15 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
             raise ValueError("minibatch descent uses the nonlinear updates")
         if not 1 <= minibatch <= d.total:
             raise ValueError("minibatch size must be between 1 and the dataset size")
-        states, gaps = _run_minibatch(spec, d, minibatch, schedule, seed, tol)
+        rng = make_rng(seed)
+        lr, decay_a = ((spec.learning_rate, None) if schedule is None
+                       else (schedule.base_rate, schedule.decay_a))
+
+        def draw(rows):
+            return rng.multivariate_hypergeometric(d.counts,
+                                                   minibatch)[:-1] / minibatch
+        states, gaps = descent.descend(spec, lr, d.counts / d.total, tol,
+                                       decay_a, draw)
     if true_target is None:
         kls = gaps
     else:
@@ -129,41 +138,3 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
                for p in descent.probs_rows(spec.method, states)]
     return Trajectory(np.arange(len(states), dtype=float), states, kls,
                       loss_gaps=gaps)
-
-
-def _run_minibatch(spec, d, size, schedule, seed, tol):
-    """States and loss gaps of minibatch descent; step k moves toward the
-    empirical distribution of `size` samples drawn without replacement."""
-    rng = make_rng(seed)
-    q_hat = d.counts / d.total
-    x = descent.state_rows(spec.method, spec.init.probs[None, :])
-    states = [x[0]]
-    gaps = [kl_rows(q_hat, descent.probs_rows(spec.method, x))[0]]
-    for k in range(spec.max_iters):
-        if tol is not None and gaps[-1] <= tol:
-            break
-        a = schedule.rate(k) if schedule is not None else spec.learning_rate
-        batch_eta = rng.multivariate_hypergeometric(d.counts, size)[:-1] / size
-        x = descent.step_rows(spec.method, x, batch_eta, a)
-        descent.check_rows(spec.method, x, k + 1, a)
-        states.append(x[0])
-        gaps.append(kl_rows(q_hat, descent.probs_rows(spec.method, x))[0])
-    return np.array(states), np.array(gaps)
-
-
-def convergence_time(trajectories, tolerance: float, max_iters: int = 100) -> int:
-    """Worst-case iteration count to bring the loss gap within tolerance.
-
-    Each trajectory contributes the first recorded iteration whose gap to
-    q_hat is at or below the tolerance, saturating at max_iters if it never
-    gets there; the maximum over trajectories is returned.
-    """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    worst = 0
-    for traj in trajectories:
-        gaps = traj.loss_gaps if traj.loss_gaps is not None else traj.kl_values
-        hit = np.nonzero(gaps <= tolerance)[0]
-        t = int(hit[0]) if hit.size else max_iters
-        worst = max(worst, t)
-    return worst

@@ -19,8 +19,8 @@ import numpy as np
 
 from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, simplex_from_theta,
                      softmax_rows, to_eta, to_theta)
-from .descent import (METHODS, DescentSpec, destabilizing_delta, optimal_lr,
-                      probs_rows, state_rows, step_rows, valid_rows)
+from .descent import (METHODS, DescentSpec, descend_rows, destabilizing_delta,
+                      optimal_lr, state_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
@@ -487,56 +487,30 @@ def _batch_convergence_times(method, mode, counts, init_probs, lrs, idxs,
     initializations, per learning rate: shape (G,), for the G rates lrs at
     grid indices idxs.
 
-    All rates step together: the B inits are tiled into one (G*B, n) state
-    array with a step-size column (the rate in full batch, lr*a/(k+a) in
-    sgd), so an iteration is one step_rows, one valid_rows and one kl_rows
-    call.  A row leaves the batch once its gap is within tolerance.  Once a
-    row leaves the domain its rate is finished at max_iters, the worst time
-    there is, so all of the rate's rows leave the batch and are neither
-    stepped nor read again.  Rows are independent, so each follows the path
-    it would follow alone.  In sgd mode the rate at grid index idx draws its
-    minibatch targets from its own generator [seed, 91, idx], B of them per
-    iteration while any of its rows is live; a finished rate draws no more.
+    All rates step in one descend_rows batch of the B inits tiled G times,
+    a rate's B rows forming a group: a rate with a row that leaves the
+    domain is finished at max_iters, the worst time there is.  In sgd mode
+    the rate at grid index idx draws its minibatch targets from its own
+    generator [seed, 91, idx], B per iteration while any of its rows lives.
     """
-    q_hat = counts / counts.sum()
-    g, b = len(lrs), init_probs.shape[0]
-    rngs = [make_rng([seed, 91, idx]) for idx in idxs] if mode == "sgd" else ()
-    times = np.full(g * b, max_iters, dtype=np.int64)
-    rows = np.arange(g * b)  # live rows as flat (rate, init) indices
-    y = np.tile(state_rows(method, init_probs), (g, 1))
-    lr = np.repeat(np.asarray(lrs, dtype=float), b)[:, None]
+    b = init_probs.shape[0]
+    draw = None
+    if mode == "sgd":
+        rngs = [make_rng([seed, 91, idx]) for idx in idxs]
 
-    def converged(yv):
-        # a live exponential state far from the target may underflow a
-        # probability to 0: its gap is inf (kl_rows), never within tolerance
-        with np.errstate(divide="ignore"):
-            return kl_rows(q_hat, probs_rows(method, yv)) <= tolerance
-
-    hit = converged(y)
-    times[hit] = 0
-    rows, y, lr = rows[~hit], y[~hit], lr[~hit]
-    for k in range(max_iters):
-        if not rows.size:
-            break
-        if mode == "sgd":
+        def draw(rows):
             live, first = np.unique(rows // b, return_index=True)
-            target = np.concatenate([
+            return np.concatenate([
                 rngs[r].multivariate_hypergeometric(
                     counts, minibatch, size=b)[i, :-1] / minibatch
                 for r, i in zip(live, np.split(rows % b, first[1:]))])
-            alpha = lr * decay_a / (k + decay_a)
-        else:
-            target, alpha = q_hat[:-1], lr
-        y = step_rows(method, y, target, alpha)
-        ok = valid_rows(method, y)
-        if not ok.all():  # left the domain: its rate saturates at max_iters
-            ok = ~np.isin(rows // b, rows[~ok] // b)
-            rows, y, lr = rows[ok], y[ok], lr[ok]
-        hit = converged(y)
-        if hit.any():
-            times[rows[hit]] = k + 1
-            rows, y, lr = rows[~hit], y[~hit], lr[~hit]
-    return times.reshape(g, b).max(axis=1)
+    times = np.full(len(lrs) * b, max_iters, dtype=np.int64)
+    for k, rows, _, gaps in descend_rows(
+            method, np.tile(state_rows(method, init_probs), (len(lrs), 1)),
+            np.repeat(lrs, b), counts / counts.sum(), tolerance, max_iters,
+            decay_a if mode == "sgd" else None, draw, b):
+        times[rows[gaps <= tolerance]] = k
+    return times.reshape(len(lrs), b).max(axis=1)
 
 
 def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,

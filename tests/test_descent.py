@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ def test_run_failure_names_method_iteration_and_step_size():
             "reduce the step size")):
         check_rows("gd_theta", np.array([[np.inf, 0.0]]), 3, 0.25)
     check_rows("gd_theta", np.array([[700.0, -700.0]]), 3, 0.25)
+
+
+def test_run_gap_of_an_underflowed_state_is_inf_without_warnings():
+    # at step size 1e4 the theta iterates stay finite but their softmax
+    # underflows a probability to 0: the gap is inf, silently
+    spec = DescentSpec("gd_theta", "nonlinear",
+                       SimplexPoint(np.array([0.2, 0.3, 0.5])),
+                       SimplexPoint(np.array([0.6, 0.3, 0.1])), 1e4,
+                       max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(spec)
+    assert len(traj.kl_values) == 6 and np.isfinite(traj.kl_values[0])
+    assert np.isinf(traj.kl_values[1:]).all()
 
 
 def test_noisy_run_records_nan_instead_of_raising():

@@ -5,11 +5,10 @@ import pytest
 
 from simplex_flows.coords import SimplexPoint
 from simplex_flows.descent import DescentSpec, run
-from simplex_flows.empirical import (Dataset, SgdSchedule, convergence_time,
-                                     empirical_kl, empirical_target,
-                                     run_empirical, sample_dataset)
+from simplex_flows.empirical import (Dataset, SgdSchedule, empirical_kl,
+                                     empirical_target, run_empirical,
+                                     sample_dataset)
 from simplex_flows.errors import BoundaryEscape, ZeroCount
-from simplex_flows.flows import Trajectory
 from simplex_flows.geometry import kl
 from simplex_flows.rng import make_rng, random_simplex_point
 
@@ -180,19 +179,3 @@ def test_sgd_schedule():
     assert s.rate(1000) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         SgdSchedule(-0.1)
-
-
-def _traj_with_gaps(gaps):
-    k = np.arange(len(gaps), dtype=float)
-    return Trajectory(k, np.zeros((len(gaps), 1)), np.array(gaps),
-                      loss_gaps=np.array(gaps))
-
-
-def test_convergence_time():
-    t1 = _traj_with_gaps([1.0, 0.5, 0.05, 0.01])
-    t2 = _traj_with_gaps([1.0, 0.02, 0.01, 0.005])
-    assert convergence_time([t1, t2], 0.05) == 2      # worst case wins
-    assert convergence_time([t2], 0.05) == 1
-    assert convergence_time([t1], 1e-9, max_iters=50) == 50   # saturates
-    with pytest.raises(ValueError):
-        convergence_time([], 0.1)

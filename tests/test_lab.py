@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from simplex_flows import descent, lab, spectral
 from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
-from simplex_flows.descent import (probs_rows, state_rows, step_rows,
-                                   valid_rows)
-from simplex_flows.errors import (ExperimentFailure, InsufficientDecay,
+from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
+                                   step_rows, valid_rows)
+from simplex_flows.empirical import (Dataset, SgdSchedule, empirical_target,
+                                     run_empirical)
+from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
+                                  InsufficientDecay, NonFinite,
                                   WitnessNotFound)
 from simplex_flows.flows import Trajectory, integrate_batch
 from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
@@ -445,6 +448,44 @@ def test_stacked_sweep_kernel_equals_one_rate_loop(method, mode):
         assert np.array_equal(part, ref[list(share)].max(axis=1))
 
 
+def _first_hit(gaps, tolerance, max_iters):
+    hit = np.nonzero(np.asarray(gaps) <= tolerance)[0]
+    return int(hit[0]) if hit.size else max_iters
+
+
+@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+@pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
+def test_one_row_sweep_time_is_the_first_hit_of_a_single_run(method, mode):
+    # a one-row sweep follows run (full batch) or the minibatch run of
+    # run_empirical seeded with the rate's stream [seed, 91, idx] (sgd); a
+    # run that leaves the domain raises where the sweep saturates the rate
+    grid = SWEEP_TEST_GRIDS[method]
+    tol, max_iters, minibatch, decay_a = SWEEP_TEST_TOL[mode], 60, 200, 30.0
+    for seed in range(20):
+        counts, inits = _sweep_instance(seed, n_inits=3)
+        d = Dataset(counts)
+        q_hat = empirical_target(d)
+        for i in range(3):
+            idx = (seed + 2 * i) % len(grid)
+            lr = grid[idx]
+            time = lab._batch_convergence_times(
+                method, mode, counts, inits[i:i + 1], [lr], [idx], tol,
+                max_iters, minibatch, decay_a, seed=seed)
+            spec = DescentSpec(method, "nonlinear", q_hat,
+                               SimplexPoint(inits[i]), lr, max_iters=max_iters)
+            try:
+                if mode == "sgd":
+                    traj = run_empirical(spec, d, minibatch=minibatch,
+                                         schedule=SgdSchedule(lr, decay_a),
+                                         seed=[seed, 91, idx], tol=tol)
+                else:
+                    traj = run(spec, tol)
+                want = _first_hit(traj.kl_values, tol, max_iters)
+            except (BoundaryEscape, NonFinite):
+                want = max_iters
+            assert time.tolist() == [want], (seed, i, lr)
+
+
 @pytest.mark.parametrize("mode", ["full_batch", "sgd"])
 @pytest.mark.parametrize("method", ["gd_eta", "ngd"])
 def test_rate_leaving_domain_stops_stepping_and_drawing(monkeypatch, method,
@@ -479,8 +520,8 @@ def test_rate_leaving_domain_stops_stepping_and_drawing(monkeypatch, method,
             draws[self.idx] = draws.get(self.idx, 0) + 1
             return self.gen.multivariate_hypergeometric(*a, **kw)
 
-    monkeypatch.setattr(lab, "step_rows", step)
-    monkeypatch.setattr(lab, "valid_rows", valid)
+    monkeypatch.setattr(descent, "step_rows", step)
+    monkeypatch.setattr(descent, "valid_rows", valid)
     monkeypatch.setattr(lab, "make_rng", lambda key: CountingRng(key[2]))
     worst = lab._batch_convergence_times(
         method, mode, counts, inits, grid, range(len(grid)), tol, max_iters,

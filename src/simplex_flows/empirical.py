@@ -133,8 +133,10 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
                                        decay_a, draw)
     if true_target is None:
         kls = gaps
-    else:
-        kls = [kl(true_target, SimplexPoint(p))
-               for p in descent.probs_rows(spec.method, states)]
+    else:  # kl's arithmetic on the raw rows: a row with a zero gives inf
+        q = true_target.probs
+        with np.errstate(divide="ignore"):
+            kls = [max(0.0, float(np.dot(q, np.log(q) - np.log(p))))
+                   for p in descent.probs_rows(spec.method, states)]
     return Trajectory(np.arange(len(states), dtype=float), states, kls,
                       loss_gaps=gaps)

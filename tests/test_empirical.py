@@ -103,6 +103,20 @@ def test_true_kl_plateaus_at_dataset_gap():
     assert traj.kl_values[-1] == pytest.approx(kl(q, q_hat), abs=1e-8)
 
 
+def test_true_kl_is_inf_where_the_softmax_underflows():
+    # a gd_theta step of 1e4 underflows a probability to 0: the KL to the
+    # true target is then inf, as the gap to q_hat is, not a ValueError
+    d = Dataset(np.array([30, 50, 20]))
+    p0 = SimplexPoint(np.array([0.6, 0.3, 0.1]))
+    q = SimplexPoint(np.array([0.25, 0.5, 0.25]))
+    spec = DescentSpec("gd_theta", "nonlinear", empirical_target(d), p0, 1e4,
+                       max_iters=5)
+    assert np.isinf(run_empirical(spec, d).kl_values[1:]).all()
+    traj = run_empirical(spec, d, true_target=q)
+    assert traj.kl_values[0] == kl(q, p0)
+    assert np.isinf(traj.kl_values[1:]).all()
+
+
 def test_minibatch_gradient_is_unbiased():
     # the mean minibatch frequency over many draws approaches q_hat
     rng = make_rng(4)

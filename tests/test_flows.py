@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplex_flows import flows
-from simplex_flows.coords import SimplexPoint, to_eta
+from simplex_flows.coords import SimplexPoint, to_eta, valid_rows
 from simplex_flows.errors import BoundaryEscape
 from simplex_flows.flows import (FlowSpec, Trajectory, integrate,
                                  integrate_batch, integrate_blocks,
@@ -237,15 +237,46 @@ def test_paths_match_high_order_oracle(spec):
     eng = flows._Engine(spec.loss, spec.chart, spec.target, spec.affine)
     ref = integrate_ivp.solve_ivp(
         lambda t, y: eng.rhs(y[None, :])[0], (0.0, 2.0),
-        eng.init_state(spec.init.probs[None])[0], method="DOP853",
+        eng.init_state(spec.init.probs[None])[0], method="RK45",
         rtol=1e-13, atol=1e-15, t_eval=traj.times)
     assert ref.success
     assert np.abs(ref.y.T - traj.states).max() < 1e-8
 
 
+def test_oracle_flows_take_few_calls_and_yield_valid_samples(monkeypatch):
+    # the 24 oracle flows, a sample every dt, cost at most 8,000 rhs
+    # evaluations and 600 steps tried (accepted or rejected).  The dense
+    # output's 3 extra stages evaluate the field inside the step, so every
+    # sample must lie in the chart.
+    counts = {"rhs": 0, "steps": 0}
+    for key, field in list(flows.FIELDS.items()):
+        def counted(y, target, field=field):
+            counts["rhs"] += 1
+            return field(y, target)
+        monkeypatch.setitem(flows.FIELDS, key, counted)
+
+    def counted_valid(chart, x):  # the initial state, then each step tried
+        counts["steps"] += 1
+        return valid_rows(chart, x)
+    monkeypatch.setattr(flows, "valid_rows", counted_valid)
+    paths = []
+    for case in _oracle_cases():
+        spec = case.values[0]
+        blocks = list(integrate_blocks(
+            spec.loss, spec.chart, spec.target, spec.init.probs[None], 2.0,
+            dt=1e-3, sample_every=1, affine=spec.affine))
+        counts["steps"] -= 1
+        paths.append((spec, np.concatenate([b[1] for b in blocks])))
+    assert counts["rhs"] <= 8000 and counts["steps"] <= 600
+    for spec, states in paths:
+        eng = flows._Engine(spec.loss, spec.chart, spec.target, spec.affine)
+        assert states.shape == (2001, 1, 2)
+        assert eng.valid(states[:, 0]).all()
+
+
 def _tensordot_integrate(loss, chart, target, init_probs, t_end, dt,
                          sample_every, affine=None):
-    """The integrator as it was written with one np.tensordot per stage
+    """The integrator as it is written with one np.tensordot per stage
     combination, error estimate and dense-output block: the reference that
     the stage-matrix loop must reproduce bit for bit."""
     eng = flows._Engine(loss, chart, target, affine)
@@ -255,36 +286,44 @@ def _tensordot_integrate(loss, chart, target, init_probs, t_end, dt,
     states = np.empty((times.size,) + y.shape)
     kls = np.empty(times.shape + y.shape[:1])
     states[0], kls[0] = y, eng.kl_to_target(y)
-    k = np.empty((7,) + y.shape)
+    k = np.empty((16,) + y.shape)
     k[0] = eng.rhs(y)
+    per_block = max(1, flows.BLOCK_ROWS // len(y))
     t, h, j, grow = 0.0, dt, 1, flows.MAX_FACTOR
     while j < times.size:
         last = h >= t_end - t
         h = t_end - t if last else h
         with np.errstate(all="ignore"):
-            for s in range(1, 7):
+            for s in range(1, 13):
                 y_new = y + h * np.tensordot(flows._A[s, :s], k[:s], axes=1)
                 k[s] = eng.rhs(y_new)
             scale = flows.ATOL + flows.RTOL * np.maximum(np.abs(y),
                                                          np.abs(y_new))
-            row_err = np.sqrt(np.mean(
-                (h * np.tensordot(flows._E, k, axes=1) / scale) ** 2, axis=1))
-            err = float(np.sqrt(np.mean(row_err ** 2)))
+            e5, e3 = np.sum((np.tensordot(flows._E, k[:12], axes=1)
+                             / scale) ** 2, axis=2).sum(axis=1)  # rows, then all
+            err = float(h * e5 / np.sqrt(
+                np.maximum(e5 + 0.01 * e3, flows._TINY) * y.size))
             valid = eng.valid(y_new)
         if err <= 1.0 and valid.all():
             t_new = t_end if last else t + h
             m = j + int(np.searchsorted(times[j:], t_new, side="right"))
             if m > j:
-                s = np.power.outer((times[j:m] - t) / h, np.arange(1, 5))
-                states[j:m] = y + np.tensordot(h * flows._P @ s.T, k,
-                                               axes=(0, 0))
-                kls[j:m] = eng.kl_to_target(
-                    states[j:m].reshape(-1, y.shape[1])).reshape(m - j, -1)
-            y, t, j, k[0] = y_new, t_new, m, k[6]
-            h *= min(grow, flows.SAFETY * err ** -0.2) if err > 0 else grow
+                for s in range(13, 16):
+                    k[s] = eng.rhs(y + h * np.tensordot(
+                        flows._A[s, :s], k[:s], axes=1))
+            for lo in range(j, m, per_block):
+                hi = min(lo + per_block, m)
+                x = ((times[lo:hi] - t) / h)[:, None]
+                w = x ** flows._BASIS[0] * (1.0 - x) ** flows._BASIS[1] \
+                    @ flows._W.T
+                states[lo:hi] = y + np.tensordot(h * w, k, axes=1)
+                kls[lo:hi] = eng.kl_to_target(
+                    states[lo:hi].reshape(-1, y.shape[1])).reshape(hi - lo, -1)
+            y, t, j, k[0] = y_new, t_new, m, k[12]
+            h *= min(grow, flows.SAFETY * err ** -0.125) if err > 0 else grow
             grow = flows.MAX_FACTOR
             continue
-        h *= max(flows.MIN_FACTOR, min(1.0, flows.SAFETY * err ** -0.2)) \
+        h *= max(flows.MIN_FACTOR, min(1.0, flows.SAFETY * err ** -0.125)) \
             if 1.0 < err < np.inf else flows.MIN_FACTOR
         grow = 1.0
     return times, states, kls
@@ -301,6 +340,9 @@ def _stage_matrix_cases():
             for batch in (1, 37):
                 yield pytest.param(loss, name, q, inits[:batch], 2.0, 1e-3, 7,
                                    affine, id=f"{loss}-{name}-B{batch}")
+    # steps that hold more than BLOCK_ROWS // 37 samples: split blocks
+    yield pytest.param("Lq", "natural_eta", q, inits, 2.0, 1e-3, 1, None,
+                       id="natural_eta-B37-every-1")
     # a first trial step of 0.5 leaves the simplex: rejected steps
     yield pytest.param("Lq", "eta", SimplexPoint(np.array([0.98, 0.01, 0.01])),
                        np.array([[0.001, 0.499, 0.5]]), 4.0, 0.5, 1, None,
@@ -334,11 +376,24 @@ def test_integrate_batch_is_the_concatenated_blocks(loss, chart, target, inits,
 
 
 def test_dense_output_coefficients_match_scipy():
+    c = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     rk = pytest.importorskip("scipy.integrate._ivp.rk")
-    assert np.array_equal(flows._P, rk.RK45.P)
-    assert np.array_equal(flows._A[:6, :5], rk.RK45.A)
-    assert np.array_equal(flows._A[6], rk.RK45.B)
-    assert np.array_equal(flows._E, -rk.RK45.E)
+    assert np.array_equal(flows._A, c.A)  # with the 3 dense-output rows
+    assert np.array_equal(flows._A[12, :12], c.B)
+    assert np.array_equal(flows._E, [c.E5[:12], c.E3[:12]])
+    assert c.E5[12] == c.E3[12] == 0
+    assert np.array_equal(flows._D, c.D)
+    # the weights _W on the basis x^a (1 - x)^b give scipy's dense output
+    k = make_rng(0).standard_normal((16, 3))
+    y, h = np.array([0.2, -0.1, 0.4]), 0.3
+    y_new = y + h * c.B @ k[:12]
+    f = np.vstack([y_new - y, h * k[0] - (y_new - y),
+                   2 * (y_new - y) - h * (k[12] + k[0]), h * c.D @ k])
+    dense = rk.Dop853DenseOutput(0.0, h, y, f)
+    x = np.linspace(0.0, 1.0, 11)[:, None]
+    w = x ** flows._BASIS[0] * (1.0 - x) ** flows._BASIS[1] @ flows._W.T
+    assert np.allclose(y + h * w @ k, dense(h * x[:, 0]).T, rtol=0,
+                       atol=1e-13)
 
 
 def test_substepping_keeps_stiff_flow_stable():

@@ -27,9 +27,9 @@ from .geometry import (AffineChart, SymMatrix, bregman_phi, bregman_psi,
                        make_identity_chart, natural_grad_Lq,
                        natural_grad_Lstar)
 from .lab import (RateBounds, RateFit, affine_rate_experiment,
-                  empirical_sandwich, fit_rate, local_sections, lr_sweep,
-                  nonconvexity_witness, rate_bounds, robustness_experiment,
-                  sandwich_experiment)
+                  empirical_sandwich, fit_rate, fit_rates, local_sections,
+                  lr_sweep, nonconvexity_witness, rate_bounds,
+                  robustness_experiment, sandwich_experiment)
 from .rng import make_rng, random_simplex_batch, random_simplex_point
 from .spectral import (EigenDecomposition, cond, eigh, eigvalsh_batch,
                        kappa_lower_bound, rank_one_extremes, solve_lyapunov,

@@ -22,7 +22,7 @@ from . import descent
 from .coords import SimplexPoint
 from .errors import ZeroCount
 from .flows import Trajectory
-from .geometry import kl
+from .geometry import kl, kl_probs
 from .rng import make_rng
 
 
@@ -133,10 +133,9 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
                                        decay_a, draw)
     if true_target is None:
         kls = gaps
-    else:  # kl's arithmetic on the raw rows: a row with a zero gives inf
-        q = true_target.probs
+    else:  # on the raw rows: a row with a zero gives inf
         with np.errstate(divide="ignore"):
-            kls = [max(0.0, float(np.dot(q, np.log(q) - np.log(p))))
+            kls = [kl_probs(true_target.probs, p)
                    for p in descent.probs_rows(spec.method, states)]
     return Trajectory(np.arange(len(states), dtype=float), states, kls,
                       loss_gaps=gaps)

@@ -59,19 +59,31 @@ class FlowSpec:
     affine: Optional[AffineChart] = None
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.chart not in CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if self.target.n != self.init.n:
-            raise ValueError("target and init dimension mismatch")
-        if self.chart.startswith("affine"):
-            if self.affine is None:
-                raise ValueError("affine chart requires an AffineChart")
-            if self.affine.n != self.target.n:
-                raise ValueError("affine chart dimension mismatch")
-        elif self.affine is not None:
-            raise ValueError("affine chart given but chart is not affine")
+        _check_flow(self.loss, self.chart, self.target, self.init.n,
+                    self.affine)
+
+
+def _check_flow(loss, chart, target, n, affine=None):
+    """Raise ValueError naming loss and chart unless both are known, affine
+    is an AffineChart just when the chart is affine, and target, init (n
+    coordinates) and affine chart share one dimension."""
+    if loss not in LOSSES:
+        problem = f"unknown loss {loss!r}"
+    elif chart not in CHARTS:
+        problem = f"unknown chart {chart!r}"
+    elif target.n != n:
+        problem = f"init has {n} coordinates, target {target.n}"
+    elif not chart.startswith("affine"):
+        if affine is None:
+            return
+        problem = "affine chart given but chart is not affine"
+    elif not isinstance(affine, AffineChart):
+        problem = f"affine chart requires an AffineChart, got {affine!r}"
+    elif affine.n != n:
+        problem = f"affine chart has {affine.n} coordinates, target {n}"
+    else:
+        return
+    raise ValueError(f"{loss}/{chart}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -267,11 +279,12 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=1e-3,
     sample_times(t_end, dt, sample_every).  dt also sets the
     first trial step; all rows share one adaptive step size.  Raises
     ValueError (settings) or BoundaryEscape (initial state) when the first
-    block is drawn.
+    block is drawn; the ValueError of _check_flow names loss and chart.
     """
     times = sample_times(t_end, dt, sample_every)
-    eng = _Engine(loss, chart, target, affine)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
+    _check_flow(loss, chart, target, init_probs.shape[1] - 1, affine)
+    eng = _Engine(loss, chart, target, affine)
     for row in init_probs:
         SimplexPoint(row)  # raises ValueError unless a probability row
     y = eng.init_state(init_probs)

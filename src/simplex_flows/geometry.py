@@ -70,7 +70,12 @@ class SymMatrix:
 def kl(q: SimplexPoint, p: SimplexPoint) -> float:
     """KL divergence D(q||p) = sum q_i log(q_i/p_i), clipped at 0."""
     _check_same_n(q, p)
-    return max(0.0, float(np.dot(q.probs, np.log(q.probs) - np.log(p.probs))))
+    return kl_probs(q.probs, p.probs)
+
+
+def kl_probs(q: np.ndarray, p: np.ndarray) -> float:
+    """kl of probability vectors, unchecked: a zero in p gives inf."""
+    return max(0.0, float(np.dot(q, np.log(q) - np.log(p))))
 
 
 def kl_rows(q: np.ndarray, probs_rows: np.ndarray) -> np.ndarray:

@@ -34,6 +34,10 @@ from .spectral import cond, eigh, rank_one_extremes, solve_lyapunov
 
 KL_FLOOR = 1e-13
 FIT_WINDOW = 0.6
+FIT_BLOCK = 16  # columns fitted at once: bounds the fit's (16, K) temporaries
+DECAY_REASONS = ("trajectory KL is identically zero",
+                 "KL never dropped below 0.9x its initial value",
+                 "fewer than 10 samples above the KL floor")
 R2_MIN = 0.99
 NG_BAND = (1.9, 2.1)
 NEAR_OPT_KL = 0.05
@@ -169,34 +173,71 @@ class RateBounds:
 
 
 def fit_rate(traj) -> RateFit:
-    """Fit log KL vs t on the last FIT_WINDOW of samples above KL_FLOOR.
+    """fit_rates of the one column traj.kl_values as a RateFit; raises
+    InsufficientDecay with the reason where it is not fitted."""
+    rate, intercept, r2, window, reason = fit_rates(traj.times,
+                                                    traj.kl_values[:, None])
+    if reason[0]:
+        raise InsufficientDecay(reason[0])
+    return RateFit(float(rate[0]), float(intercept[0]), float(r2[0]),
+                   tuple(window[0].tolist()))
 
-    The decay is exponential only after an uncharacterized burn-in, so the
-    fit deliberately ignores the head of the trajectory.
-    """
-    return _fit(np.asarray(traj.times), np.asarray(traj.kl_values))
+
+def fit_rates(times, kls):
+    """Fit log KL vs t per column of kls (K, C), sampled at times (K,), on
+    its window: the last ceil(FIT_WINDOW m) of its m finite samples above
+    KL_FLOOR, as the decay is exponential only after a burn-in.  Returns
+    (C,) rates -slope, intercepts and R^2 = slope S_tv / S_vv in [0, 1] (1
+    if S_vv = 0) from centred sums, the (C, 2) window ends and (C,) reasons:
+    "" or, for a column not fitted (numbers NaN), the first DECAY_REASONS
+    entry that holds.  A column is a row of a FIT_BLOCK-row C-order block,
+    so it gets the same bits in any block."""
+    times, kls = np.asarray(times, dtype=float), np.asarray(kls, dtype=float)
+    out = np.full((5, kls.shape[1]), np.nan)
+    code = np.zeros(kls.shape[1], dtype=np.int64)
+    for lo in range(0, kls.shape[1], FIT_BLOCK):
+        cols = slice(lo, lo + FIT_BLOCK)
+        v = kls[:, cols].T.copy()
+        positive = np.isfinite(v) & (v > 0.0)
+        first = v[np.arange(len(v)), positive.argmax(axis=1)]
+        low = np.min(v, axis=1, where=positive, initial=np.inf)
+        mask = positive & (v > KL_FLOOR)
+        m = mask.sum(axis=1)
+        code[cols] = np.select([~positive.any(axis=1), low > 0.9 * first,
+                                m < 10], [1, 2, 3])
+        need = np.ceil(FIT_WINDOW * m)[:, None]  # the last `need` masked ones
+        win = mask & (np.cumsum(mask[:, ::-1], axis=1, dtype=np.int32)
+                      [:, ::-1] <= need)
+        # in place, so a block holds three (FIT_BLOCK, K) float arrays
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tc = np.multiply(win, times)
+            t_mean = tc.sum(axis=1, keepdims=True) / need
+            tc -= t_mean
+            tc *= win
+            v[~win] = 1.0
+            lv = np.log(v, out=v)  # 0 outside the window
+            v_mean = lv.sum(axis=1, keepdims=True) / need
+            lv -= v_mean
+            lv *= win
+            s_tt = (tc * tc).sum(axis=1)
+            s_tv = np.multiply(tc, lv, out=tc).sum(axis=1)
+            s_vv = np.square(lv, out=lv).sum(axis=1)
+            slope = s_tv / s_tt
+            r2 = np.where(s_vv == 0.0, 1.0, slope * s_tv / s_vv)
+        ends = times[[win.argmax(axis=1), -1 - win[:, ::-1].argmax(axis=1)]]
+        out[:, cols] = np.where(code[cols] == 0, [
+            -slope, (v_mean - slope[:, None] * t_mean)[:, 0],
+            np.clip(r2, 0.0, 1.0), *ends], np.nan)
+        del v, lv, tc, positive, mask, win  # before the next block's
+    return (*out[:3], out[3:].T, np.array(("",) + DECAY_REASONS)[code])
 
 
-def _fit(times, kls):
-    positive = np.isfinite(kls) & (kls > 0.0)
-    if not positive.any():
-        raise InsufficientDecay("trajectory KL is identically zero")
-    first = kls[positive][0]
-    if kls[positive].min() > 0.9 * first:
-        raise InsufficientDecay("KL never dropped below 0.9x its initial value")
-    mask = positive & (kls > KL_FLOOR)
-    tt = times[mask]
-    vv = np.log(kls[mask])
-    if tt.size < 10:
-        raise InsufficientDecay("fewer than 10 samples above the KL floor")
-    start = tt.size - int(np.ceil(FIT_WINDOW * tt.size))
-    tt, vv = tt[start:], vv[start:]
-    slope, intercept = np.polyfit(tt, vv, 1)
-    resid = vv - (slope * tt + intercept)
-    ss_tot = float(((vv - vv.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid ** 2).sum()) / ss_tot
-    return RateFit(float(-slope), float(intercept), max(0.0, min(1.0, r2)),
-                   (float(tt[0]), float(tt[-1])))
+def _horizon(kl0, rate, dt):
+    """(t_end, dt) running a flow of asymptotic rate `rate` from KL kl0 down
+    to ~20x KL_FLOOR, so the fit window is asymptotic, on at most 20,000
+    intervals, which bounds the samples kept (n=10 theta: t_end ~1,500)."""
+    t_end = np.log(kl0 / (20.0 * KL_FLOOR)) / rate
+    return t_end, max(dt, t_end / 20000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +337,10 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
                         out_dir: Optional[str] = None) -> dict:
     """Fit decay rates of the three flows of L_q from many random inits.
 
-    Checks, per init: theta-rate < 2 < eta-rate, natural rate inside
-    NG_BAND, every fit R^2 >= R2_MIN; also that the integrated natural flow
-    matches its closed-form solution to 1e-8.
+    Checks, per init fitted in all three charts (and that there is one):
+    theta-rate < 2 < eta-rate, natural rate inside NG_BAND, every fit
+    R^2 >= R2_MIN; also that the integrated natural flow matches its
+    closed-form solution to 1e-8.
 
     The rate claims are asymptotic, so random inits are pulled along the
     mixture line toward the optimum until kl(q||p0) <= SANDWICH_KL_CAP, and
@@ -313,7 +355,8 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     a running maximum, and every PATH_STRIDE-th state into the chart's
     path, so memory is O(K B) rather than O(K B n).  The returned summary
     carries _trajectories[chart] = (times, path, kls), with
-    path = states[::PATH_STRIDE] of the full (K, B, n) states.
+    path = states[::PATH_STRIDE] of the full (K, B, n) states, and
+    _grids[chart] = (t_end, dt) of the chart's integration.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -331,16 +374,12 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
     eta_q = q.probs[:-1]
     offset = inits[None, :, :-1] - eta_q
-    results, horizons, natural_exact_err = {}, {}, 0.0
+    results, grids, natural_exact_err = {}, {}, 0.0
     for chart in ("eta", "natural_eta", "theta"):
-        if t_end is not None:
-            t_chart, dt_chart = t_end, dt
-        else:
-            # run the max-KL init down to ~20x the fit floor; at most 20,000
-            # grid intervals, which bounds the samples kept and their memory
-            # (the n=10 theta horizon is ~1,500 time units)
-            t_chart = np.log(kl0_max / (20.0 * KL_FLOOR)) / rate_est[chart]
-            dt_chart = max(dt, t_chart / 20000.0)
+        # the max-KL init sets the auto horizon
+        t_chart, dt_chart = grids[chart] = (
+            (t_end, dt) if t_end is not None
+            else _horizon(kl0_max, rate_est[chart], dt))
         times = sample_times(t_chart, dt_chart, sample_every)
         kls = np.empty((times.size, n_inits))
         path = np.empty((-(-times.size // PATH_STRIDE), n_inits, n))
@@ -362,34 +401,28 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
                                                np.abs(dev, out=dev).max())
             j = m
         results[chart] = (times, path, kls)
-        horizons[chart] = float(t_chart)
     natural_exact_err = float(natural_exact_err)
 
-    rows, excluded = [], []
-    ok_order = ok_band = ok_r2 = True
-    for b in range(n_inits):
-        try:
-            fits = {c: _fit(results[c][0], results[c][2][:, b])
-                    for c in ("eta", "natural_eta", "theta")}
-        except InsufficientDecay:
-            excluded.append(b)
-            continue
-        r_eta = fits["eta"].slope
-        r_ng = fits["natural_eta"].slope
-        r_theta = fits["theta"].slope
-        ok_order &= r_theta < 2.0 < r_eta
-        ok_band &= NG_BAND[0] <= r_ng <= NG_BAND[1]
-        ok_r2 &= min(f.r_squared for f in fits.values()) >= R2_MIN
-        rows.append((b, r_eta, r_ng, r_theta, fits["eta"].r_squared,
-                     fits["natural_eta"].r_squared, fits["theta"].r_squared))
+    # rates and R^2 per chart (eta, natural_eta, theta) of the fitted inits
+    fits = [fit_rates(times, kls) for times, _, kls in results.values()]
+    fitted = np.all([f[4] == "" for f in fits], axis=0)
+    rates = np.array([f[0][fitted] for f in fits])
+    r2 = np.array([f[2][fitted] for f in fits])
+    r_eta, r_ng, r_theta = rates
+    ok_order = fitted.any() and np.all((r_theta < 2.0) & (2.0 < r_eta))
+    ok_band = fitted.any() and np.all((NG_BAND[0] <= r_ng)
+                                      & (r_ng <= NG_BAND[1]))
+    ok_r2 = fitted.any() and np.all(r2 >= R2_MIN)
+    rows = list(zip(np.flatnonzero(fitted).tolist(), *rates.tolist(),
+                    *r2.tolist()))
 
     summary = {
         "experiment": "sandwich",
         "config": {"n": n, "n_inits": n_inits, "seed": seed, "t_end": t_end,
                    "dt": dt, "sample_every": sample_every, "r2_min": R2_MIN,
                    "ng_band": list(NG_BAND), "kl_cap": SANDWICH_KL_CAP},
-        "horizons": horizons,
-        "excluded_inits": excluded,
+        "horizons": {c: float(t) for c, (t, _) in grids.items()},
+        "excluded_inits": np.flatnonzero(~fitted).tolist(),
         "seed": seed,
         "target": q.probs.tolist(),
         "assertions": {
@@ -407,6 +440,7 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     summary["_target"] = q
     summary["_inits"] = inits
     summary["_trajectories"] = results
+    summary["_grids"] = grids
     return summary
 
 
@@ -439,25 +473,20 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
         dev_theta = np.abs(a.T @ hq_theta @ a - np.eye(q.n) / c).max()
         hess_dev = max(hess_dev, float(dev_eta), float(dev_theta))
         kl0 = kl(q, p_near)
-        fits = {}
+        fits = []
         for chart_kind, expected in (("affine_eta", 2.0 * c),
                                      ("affine_theta", 2.0 / c)):
-            # run down to ~20x the fit floor so the tail window is asymptotic
-            t_end = np.log(kl0 / (20.0 * KL_FLOOR)) / expected
-            dt_chart = max(dt, t_end / 20000.0)  # <= 20,000 grid intervals
+            t_end, dt_chart = _horizon(kl0, expected, dt)
             times, _states, kls = integrate_batch(
                 "Lq", chart_kind, q, p_near.probs[None, :], t_end,
                 dt=dt_chart, sample_every=sample_every, affine=chart)
-            try:
-                fit = _fit(times, kls[:, 0])
-            except InsufficientDecay as exc:
-                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
-            fits[chart_kind] = fit
-            ok_rates &= abs(fit.slope - expected) <= AFFINE_RTOL * expected
-        rows.append((c, fits["affine_eta"].slope, 2.0 * c,
-                     fits["affine_theta"].slope, 2.0 / c,
-                     fits["affine_eta"].r_squared,
-                     fits["affine_theta"].r_squared))
+            rate, _, r2, _, reason = fit_rates(times, kls)
+            if reason[0]:
+                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {reason[0]}")
+            fits.append((float(rate[0]), float(r2[0])))
+            ok_rates &= abs(rate[0] - expected) <= AFFINE_RTOL * expected
+        (r_eta, r2_eta), (r_theta, r2_theta) = fits
+        rows.append((c, r_eta, 2.0 * c, r_theta, 2.0 / c, r2_eta, r2_theta))
 
     summary = {
         "experiment": "affine",
@@ -661,6 +690,8 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
     """
     if kind not in ("multiplicative", "additive"):
         raise ValueError(f"unknown kind {kind!r}")
+    if not len(seeds):
+        raise ValueError("seeds is empty: no noise draw to check")
     n = q.n
     q_eta = hess_phi(to_eta(q)).entries
     q_theta = hess_psi(to_theta(q)).entries
@@ -782,7 +813,7 @@ def _mc_covariance(mu, vectors, seed, burn_in=1000, steps=100000):
 
 def _robustness_additive(q, q_eta, q_theta, seeds):
     n = q.n
-    seed0 = int(seeds[0]) if len(seeds) else 0
+    seed0 = int(seeds[0])
     report = {}
     ok_resid = ok_analytic = ok_mc = True
     for sub, (name, mat) in enumerate((("gd_eta", q_eta), ("gd_theta", q_theta))):
@@ -905,9 +936,16 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
     exponential chart, for small |s| (up to SECTION_S) the eta-sections
     dominate the reference and the theta-sections stay below it, within a
     relative SECTION_TOL.  Grid points that push
-    eta out of the simplex are truncated (reported as NaN).
+    eta out of the simplex are truncated (reported as NaN).  With no
+    direction, or no grid point with 0 < |s| <= SECTION_S, nothing would
+    be checked: ValueError.
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
+    if not np.any((s_grid != 0.0) & (np.abs(s_grid) <= SECTION_S)):
+        raise ValueError(f"s_grid has no point with 0 < |s| <= {SECTION_S}: "
+                         "no section is checked")
     n = q.n
     if n == 2:
         ang = 2.0 * np.pi * np.arange(n_directions) / n_directions

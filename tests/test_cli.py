@@ -1,4 +1,5 @@
 import argparse
+import json
 import shlex
 from pathlib import Path
 
@@ -205,6 +206,34 @@ def test_nonconvexity_rejects_bad_input_before_probing(capsys, argv, message):
 def test_integrator_settings_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["robustness", "--n-seeds", "0"], "seeds is empty: no noise draw to check"),
+    (["sections", "--directions", "0"], "n_directions must be at least 1, got 0"),
+    (["sections", "--s-count", "0"],
+     "s_grid has no point with 0 < |s| <= 0.05: no section is checked"),
+    (["sections", "--s-max", "1", "--s-count", "2"],
+     "s_grid has no point with 0 < |s| <= 0.05: no section is checked"),
+], ids=["robustness-no-seed", "sections-no-direction", "sections-no-point",
+        "sections-no-small-point"])
+def test_runs_that_would_check_nothing_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sandwich_with_every_init_excluded_fails_its_rate_assertions(
+        tmp_path, capsys):
+    # at t_end = 0.01 no init is fitted, so no rate is checked
+    code, out, _ = run_cli(capsys, "sandwich", "--inits", "5", "--t-end",
+                           "0.01", "--out", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "ordering_theta_lt_2_lt_eta = false", "natural_rate_in_band = false",
+        "r_squared_min = false", "natural_matches_exact_1e-8 = true"]
+    summary = json.loads((tmp_path / "sandwich_n2.json").read_text())
+    assert summary["excluded_inits"] == [0, 1, 2, 3, 4]
+    assert (tmp_path / "sandwich_n2.csv").read_text().count("\n") == 1
 
 
 def test_affine_insufficient_decay_names_c_and_chart(capsys):

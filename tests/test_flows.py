@@ -32,6 +32,39 @@ def test_spec_validation():
         FlowSpec("Lq", "eta", q, random_simplex_point(make_rng(1), 3))
 
 
+_AFFINE = make_identity_chart(to_theta(_pair(0, 2)[0]), 2.0)
+
+
+@pytest.mark.parametrize("entry", ["spec", "blocks", "batch"])
+@pytest.mark.parametrize("loss, chart, affine, n_init, problem", [
+    ("nope", "eta", None, 2, "unknown loss 'nope'"),
+    ("Lq", "nope", None, 2, "unknown chart 'nope'"),
+    ("Lq", "eta", None, 3, "init has 3 coordinates, target 2"),
+    ("Lstar", "affine_theta", _AFFINE, 1, "init has 1 coordinates, target 2"),
+    ("Lq", "affine_eta", None, 2,
+     "affine chart requires an AffineChart, got None"),
+    ("Lstar", "affine_theta", "chart", 2,
+     "affine chart requires an AffineChart, got 'chart'"),
+    ("Lq", "theta", _AFFINE, 2, "affine chart given but chart is not affine"),
+    ("Lq", "affine_eta", make_identity_chart(to_theta(_pair(0, 3)[0]), 2.0), 2,
+     "affine chart has 3 coordinates, target 2"),
+], ids=["loss", "chart", "init", "affine-init", "no-affine", "not-affine",
+        "affine-on-plain", "affine-dim"])
+def test_flow_arguments_raise_value_error_naming_loss_and_chart(
+        entry, loss, chart, affine, n_init, problem):
+    q = _pair(0, 2)[0]
+    p0 = random_simplex_point(make_rng(1), n_init)
+    message = re.escape(f"{loss}/{chart}: {problem}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if entry == "spec":
+            FlowSpec(loss, chart, q, p0, affine)
+        elif entry == "blocks":
+            next(integrate_blocks(loss, chart, q, p0.probs[None], 1.0,
+                                  affine=affine))
+        else:
+            integrate_batch(loss, chart, q, p0.probs[None], 1.0, affine=affine)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), np.zeros(2))

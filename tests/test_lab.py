@@ -107,6 +107,94 @@ def test_fit_rate_insufficient_decay():
         lab.fit_rate(tiny)
 
 
+def _fit_reference(times, kls):
+    """One column fitted by np.polyfit: (rate, intercept, r2, window), or
+    the InsufficientDecay reason."""
+    positive = np.isfinite(kls) & (kls > 0.0)
+    if not positive.any():
+        return "trajectory KL is identically zero"
+    if kls[positive].min() > 0.9 * kls[positive][0]:
+        return "KL never dropped below 0.9x its initial value"
+    mask = positive & (kls > lab.KL_FLOOR)
+    tt, vv = times[mask], np.log(kls[mask])
+    if tt.size < 10:
+        return "fewer than 10 samples above the KL floor"
+    start = tt.size - int(np.ceil(lab.FIT_WINDOW * tt.size))
+    tt, vv = tt[start:], vv[start:]
+    slope, intercept = np.polyfit(tt, vv, 1)
+    resid = vv - (slope * tt + intercept)
+    ss_tot = ((vv - vv.mean()) ** 2).sum()
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - (resid ** 2).sum() / ss_tot
+    return -slope, intercept, min(1.0, max(0.0, r2)), (tt[0], tt[-1])
+
+
+def _decay_columns(seed=5, k=400):
+    """Read-only KL columns on [0, 10]: every InsufficientDecay reason,
+    NaN/inf/0/negative entries, a dip under the floor that comes back, and
+    decays that leave the floor at many times (windows of many lengths)."""
+    t = np.linspace(0.0, 10.0, k)
+    rng = np.random.default_rng(seed)
+    cols = [np.zeros(k), np.full(k, np.nan), -np.exp(-t),  # none positive
+            np.full(k, 0.5), np.exp(0.1 * t),  # never below 0.9x the first
+            np.exp(-125.0 * t), np.exp(-140.0 * t),  # 10 and 9 above floor
+            np.exp(np.where(t < 6.0, -5.0 * t, -42.0 + 2.0 * t))]  # dip
+    for rate in (0.3, 0.9, 2.0, 3.7, 7.0, 12.0, 30.0, 60.0):
+        cols.append(np.exp(-rate * t + 0.05 * rng.standard_normal(k)))
+        bad = np.exp(-rate * t)
+        bad[rng.choice(k, 12, replace=False)] = [np.nan, np.inf, -np.inf, 0.0,
+                                                 -1e-3, -np.exp(-rate)] * 2
+        cols.append(bad)
+    head = np.exp(-2.0 * t)
+    head[:7] = np.nan  # the first positive sample comes late
+    cols.append(head)
+    kls = np.column_stack(cols)
+    kls.setflags(write=False)
+    return t, kls
+
+
+def _assert_fits_match_reference(t, kls):
+    """Every column as the reference fits it, and as a one-column call
+    fits it, bit for bit; returns the reasons and window lengths seen."""
+    fits = lab.fit_rates(t, kls)
+    slope, intercept, r2, window, reason = fits
+    reasons, lengths = set(), set()
+    for j in range(kls.shape[1]):
+        alone = lab.fit_rates(t, kls[:, j:j + 1])
+        assert all(a[j:j + 1].tobytes() == b.tobytes()
+                   for a, b in zip(fits, alone))
+        want = _fit_reference(t, kls[:, j])
+        if isinstance(want, str):
+            assert reason[j] == want
+            assert np.isnan([slope[j], intercept[j], r2[j], *window[j]]).all()
+            reasons.add(want)
+            continue
+        assert reason[j] == ""
+        # relative to the rate, or for a rate near 0 (a window across the
+        # dip) to the rate that moves log KL by its intercept over [0, t_hi]
+        scale = abs(want[0]) + abs(want[1]) / want[3][1]
+        assert abs(slope[j] - want[0]) <= 1e-12 * scale
+        assert abs(intercept[j] - want[1]) <= 1e-12 * scale * want[3][1]
+        assert abs(r2[j] - want[2]) <= 1e-12
+        assert tuple(window[j].tolist()) == want[3]
+        lengths.add(int(np.count_nonzero((t >= want[3][0])
+                                         & (t <= want[3][1]))))
+    return reasons, lengths
+
+
+def test_fit_rates_match_polyfit_per_column():
+    t, kls = _decay_columns()
+    assert kls.shape[1] > lab.FIT_BLOCK  # two blocks
+    reasons, lengths = _assert_fits_match_reference(t, kls)
+    assert reasons == set(lab.DECAY_REASONS)
+    assert len(lengths) >= 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(12, 600))
+def test_fit_rates_match_polyfit_per_column_property(seed, k):
+    _assert_fits_match_reference(*_decay_columns(seed, k))
+
+
 def test_rate_fit_validation():
     with pytest.raises(ValueError):
         lab.RateFit(1.0, 0.0, 1.5, (0.0, 1.0))
@@ -607,26 +695,24 @@ def _sandwich_from_full_states(summary):
     """The sandwich's KLs, paths, natural-flow error and rows as they were
     computed from the full (K, B, n) states of integrate_batch."""
     q, inits = summary["_target"], summary["_inits"]
-    cfg = summary["config"]
     results = {}
-    for chart, t_chart in summary["horizons"].items():
+    for chart, (t_chart, dt_chart) in summary["_grids"].items():
+        assert summary["horizons"][chart] == t_chart
         results[chart] = integrate_batch(
-            "Lq", chart, q, inits, t_chart, dt=max(cfg["dt"], t_chart / 20000.0),
-            sample_every=cfg["sample_every"])
+            "Lq", chart, q, inits, t_chart, dt=dt_chart,
+            sample_every=summary["config"]["sample_every"])
     nat_times, nat_states, _ = results["natural_eta"]
     eta_q = q.probs[:-1]
     dev = np.exp(-nat_times)[:, None, None] * (inits[None, :, :-1] - eta_q)
     dev += eta_q
     dev -= nat_states
+    fits = {c: lab.fit_rates(times, kls)
+            for c, (times, _, kls) in results.items()}
     rows = []
     for b in range(len(inits)):
-        try:
-            fits = {c: lab._fit(results[c][0], results[c][2][:, b])
-                    for c in ("eta", "natural_eta", "theta")}
-        except InsufficientDecay:
-            continue
-        rows.append([b] + [fits[c].slope for c in ("eta", "natural_eta", "theta")]
-                    + [fits[c].r_squared for c in ("eta", "natural_eta", "theta")])
+        if all(fits[c][4][b] == "" for c in ("eta", "natural_eta", "theta")):
+            rows.append([b] + [float(fits[c][i][b]) for i in (0, 2)
+                               for c in ("eta", "natural_eta", "theta")])
     return results, float(np.abs(dev).max()), rows
 
 

@@ -14,8 +14,8 @@ from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
                      theta_from_eta, to_eta, to_theta)
 from .descent import (DescentSpec, NoiseModel, destabilizing_delta,
                       optimal_lr, run, step)
-from .empirical import (Dataset, SgdSchedule, empirical_kl,
-                        empirical_target, run_empirical, sample_dataset)
+from .empirical import (Dataset, empirical_target, run_empirical,
+                        sample_dataset)
 from .errors import (BoundaryEscape, ExperimentFailure, InsufficientDecay,
                      NonFinite, SimplexFlowsError, WitnessNotFound, ZeroCount)
 from .flows import (FlowSpec, Trajectory, integrate, integrate_batch,

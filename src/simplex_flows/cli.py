@@ -17,8 +17,10 @@ import numpy as np
 from . import lab
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, simplex_from_eta,
                      simplex_from_theta, to_eta, to_theta)
+from .descent import DescentSpec, step
 from .errors import SimplexFlowsError, WitnessNotFound
-from .flows import FlowSpec, Trajectory, integrate, natural_flow_exact
+from .flows import (DT, SAMPLE_EVERY, FlowSpec, Trajectory, integrate,
+                    natural_flow_exact)
 from .geometry import hess_phi, hess_psi, kl
 from .lab import fmt9
 from .rng import make_rng, random_simplex_point
@@ -274,10 +276,10 @@ def run_selftest() -> dict:
     checks["lyapunov_fixed_point"] = bool(
         np.abs(0.25 * pmat + np.eye(3) - pmat).max() < 1e-12)
     e0, eq = to_eta(p), to_eta(q)
-    one_step = eq.eta + 0.0 * (e0.eta - eq.eta)  # linearized ngd at alpha 1
-    checks["ngd_one_step"] = bool(np.abs(one_step - eq.eta).max() == 0.0)
+    one_step = step(DescentSpec("ngd", "linearized", q, p, 1.0), e0)
+    checks["ngd_one_step"] = bool(np.array_equal(one_step.eta, eq.eta))
     spec = FlowSpec("Lq", "natural_eta", q, p)
-    traj = integrate(spec, 1.0, dt=1e-3, sample_every=100)
+    traj = integrate(spec, 1.0, sample_every=100)
     exact = natural_flow_exact(eq, e0, 1.0).eta
     checks["natural_flow_matches_exact"] = bool(
         np.abs(traj.states[-1] - exact).max() < 1e-8)
@@ -288,10 +290,10 @@ def run_selftest() -> dict:
 # command's flags (underscores written as dashes) and its config keys.
 _COMMANDS = {
     "sandwich": (_cmd_sandwich,
-                 {"n": 2, "seed": 0, "inits": 100, "t_end": None, "dt": 1e-3,
-                  "sample_every": 10, "out": ""}),
+                 {"n": 2, "seed": 0, "inits": 100, "t_end": None, "dt": DT,
+                  "sample_every": SAMPLE_EVERY, "out": ""}),
     "affine": (_cmd_affine,
-               {"n": 2, "seed": 0, "c_values": [0.5, 1.0, 2.0], "dt": 1e-3,
+               {"n": 2, "seed": 0, "c_values": [0.5, 1.0, 2.0], "dt": DT,
                 "out": ""}),
     "sweep": (_cmd_sweep,
               {"method": "ngd", "grid": None, "mode": "full_batch", "n": 10,

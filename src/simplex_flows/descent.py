@@ -52,14 +52,14 @@ VARIANTS = ("nonlinear", "linearized")
 class NoiseModel:
     """Gradient noise for the linearized dynamics.
 
-    kind "multiplicative": delta is an (n, n) matrix or a callable k -> matrix;
-    the update uses (I + delta(k)) times the gradient.
+    kind "multiplicative": delta is an (n, n) matrix; the update uses
+    (I + delta) times the gradient.
     kind "additive": i.i.d. N(0, I) vectors drawn from a counter-based
     generator seeded with `seed` are added to the state each step.
     """
 
     kind: str = "none"
-    delta: Union[np.ndarray, Callable, None] = None
+    delta: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -67,11 +67,6 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "multiplicative" and self.delta is None:
             raise ValueError("multiplicative noise needs a delta")
-
-    def delta_at(self, k: int) -> np.ndarray:
-        if callable(self.delta):
-            return np.asarray(self.delta(k), dtype=float)
-        return np.asarray(self.delta, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -135,13 +130,13 @@ def _curvature_at_optimum(spec: DescentSpec) -> np.ndarray:
     return np.eye(spec.target.n)
 
 
-def _error_update(spec: DescentSpec, e: np.ndarray, k: int, q_mat: np.ndarray,
+def _error_update(spec: DescentSpec, e: np.ndarray, q_mat: np.ndarray,
                   rng) -> np.ndarray:
     """One linearized step in error coordinates e = x - x*."""
     a = spec.learning_rate
     v = q_mat @ e
     if spec.noise.kind == "multiplicative":
-        v = v + spec.noise.delta_at(k) @ v
+        v = v + np.asarray(spec.noise.delta, dtype=float) @ v
     e_next = e - a * v
     if spec.noise.kind == "additive":
         if rng is None:
@@ -150,7 +145,7 @@ def _error_update(spec: DescentSpec, e: np.ndarray, k: int, q_mat: np.ndarray,
     return e_next
 
 
-def step(spec: DescentSpec, state, k: int = 0, rng=None):
+def step(spec: DescentSpec, state, rng=None):
     """One descent update of an EtaCoord (gd_eta, ngd) or ThetaCoord
     (gd_theta) state; returns the same coordinate type."""
     x = state.eta if isinstance(state, EtaCoord) else state.theta
@@ -159,7 +154,7 @@ def step(spec: DescentSpec, state, k: int = 0, rng=None):
                       spec.learning_rate)[0]
     else:
         x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
-        x = x_star + _error_update(spec, x - x_star, k,
+        x = x_star + _error_update(spec, x - x_star,
                                    _curvature_at_optimum(spec), rng)
     return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
@@ -196,32 +191,31 @@ def descend_rows(method: str, x: np.ndarray, lr, q: np.ndarray,
             return
 
 
-def descend(spec: DescentSpec, lr: float, q: np.ndarray, tol: Optional[float],
+def descend(spec: DescentSpec, q: np.ndarray, tol: Optional[float],
             decay_a: Optional[float] = None, draw: Optional[Callable] = None):
-    """States and gaps of descend_rows from spec.init with step size lr, its
-    initial state checked too, for at most spec.max_iters iterations."""
+    """States and gaps of descend_rows from spec.init with step size
+    spec.learning_rate, its initial state checked too, for at most
+    spec.max_iters iterations."""
     x = state_rows(spec.method, spec.init.probs[None, :])
-    check_rows(spec.method, x, 0, lr)
+    check_rows(spec.method, x, 0, spec.learning_rate)
     path = [(x[0], gaps[0]) for _, _, x, gaps in descend_rows(
-        spec.method, x, [lr], q, tol, spec.max_iters, decay_a, draw)]
+        spec.method, x, [spec.learning_rate], q, tol, spec.max_iters,
+        decay_a, draw)]
     return tuple(np.array(v) for v in zip(*path))
 
 
-def run(spec: DescentSpec, tol: Optional[float] = None,
-        record_kl: bool = True) -> Trajectory:
+def run(spec: DescentSpec, tol: Optional[float] = None) -> Trajectory:
     """Iterate the update, recording the state and KL to the target.
 
-    Stops early once KL drops to tol (if given and record_kl).  Noise-free
-    runs whose mixture state leaves the simplex raise BoundaryEscape;
-    overflowing exponential states raise NonFinite.  Noisy runs record NaN
-    for the KL whenever the state has no interior representation.
+    Stops early once KL drops to tol (if given).  Noise-free runs whose
+    mixture state leaves the simplex raise BoundaryEscape; overflowing
+    exponential states raise NonFinite.  Noisy runs record NaN for the KL
+    whenever the state has no interior representation.
     """
     method, q = spec.method, spec.target.probs
     if spec.variant == "nonlinear":
-        states, kls = descend(spec, spec.learning_rate, q,
-                              tol if record_kl else None)
-        return Trajectory(np.arange(len(states), dtype=float), states,
-                          kls if record_kl else np.full(len(kls), np.nan))
+        states, kls = descend(spec, q, tol)
+        return Trajectory(np.arange(len(states), dtype=float), states, kls)
     x_star = state_rows(method, q[None, :])
     q_mat = _curvature_at_optimum(spec)
     rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
@@ -232,13 +226,13 @@ def run(spec: DescentSpec, tol: Optional[float] = None,
         if spec.noise.kind != "none" and not valid_rows(method, xv)[0]:
             return np.nan
         check_rows(method, xv, k, spec.learning_rate)
-        return kl_rows(q, probs_rows(method, xv))[0] if record_kl else np.nan
+        return kl_rows(q, probs_rows(method, xv))[0]
 
     states, kls = [x[0]], [kl_of(x, 0)]
     for k in range(spec.max_iters):
-        if record_kl and tol is not None and kls[-1] <= tol:
+        if tol is not None and kls[-1] <= tol:
             break
-        e = _error_update(spec, e, k, q_mat, rng)
+        e = _error_update(spec, e, q_mat, rng)
         x = x_star + e
         states.append(x[0])
         kls.append(kl_of(x, k + 1))

@@ -13,6 +13,7 @@ q_hat -- the minimizer of what is actually being optimized -- while the KL
 to the true q is recorded alongside to show the irreducible gap D(q||q_hat).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from . import descent
 from .coords import SimplexPoint
 from .errors import ZeroCount
 from .flows import Trajectory
-from .geometry import kl, kl_probs
+from .geometry import kl_probs
 from .rng import make_rng
 
 
@@ -68,26 +69,6 @@ def empirical_target(d: Dataset) -> SimplexPoint:
     return SimplexPoint(d.counts / d.total)
 
 
-def empirical_kl(d: Dataset, p: SimplexPoint) -> float:
-    """Average negative log-likelihood gap: D(q_hat || p)."""
-    return kl(empirical_target(d), p)
-
-
-@dataclass(frozen=True)
-class SgdSchedule:
-    """Decaying step size alpha(k) = base_rate * decay_a / (k + decay_a)."""
-
-    base_rate: float
-    decay_a: float = 1000.0
-
-    def __post_init__(self):
-        if not (self.base_rate > 0 and self.decay_a > 0):
-            raise ValueError("schedule parameters must be positive")
-
-    def rate(self, k: int) -> float:
-        return self.base_rate * self.decay_a / (k + self.decay_a)
-
-
 def _check_target_is_qhat(spec, d):
     q_hat = d.counts / d.total
     if spec.target.probs.shape != q_hat.shape or \
@@ -97,7 +78,7 @@ def _check_target_is_qhat(spec, d):
 
 def run_empirical(spec: descent.DescentSpec, d: Dataset,
                   minibatch: Optional[int] = None,
-                  schedule: Optional[SgdSchedule] = None,
+                  decay_a: Optional[float] = None,
                   true_target: Optional[SimplexPoint] = None,
                   seed: int = 0, tol: Optional[float] = None) -> Trajectory:
     """Descend the empirical loss of a dataset.
@@ -106,15 +87,16 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
     the exact same code path, hence bit-identical states; a minibatch of
     the whole dataset takes the same steps bit for bit.  With a minibatch
     size, each iteration draws that many samples uniformly from the dataset
-    and uses their empirical distribution in the gradient, stepping with
-    the schedule (or the spec's constant rate).  The returned trajectory
-    carries the loss gap to q_hat in loss_gaps and, when true_target is
-    given, the KL from the true q in kl_values (otherwise the gap again).
+    and uses their empirical distribution in the gradient, step k (from 0)
+    with the spec's step size alpha, or alpha a / (k + a) given decay_a = a.
+    The returned trajectory carries the loss gap to q_hat in loss_gaps and,
+    when true_target is given, the KL from the true q in kl_values
+    (otherwise the gap again).
     """
     _check_target_is_qhat(spec, d)
     if minibatch is None:
-        if schedule is not None:
-            raise ValueError("schedules apply to minibatch runs only")
+        if decay_a is not None:
+            raise ValueError("decay_a applies to minibatch runs only")
         traj = descent.run(spec, tol=tol)
         states, gaps = traj.states, traj.kl_values
     else:
@@ -122,14 +104,14 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
             raise ValueError("minibatch descent uses the nonlinear updates")
         if not 1 <= minibatch <= d.total:
             raise ValueError("minibatch size must be between 1 and the dataset size")
+        if decay_a is not None and not (math.isfinite(decay_a) and decay_a > 0):
+            raise ValueError(f"decay_a must be finite and positive, got {decay_a}")
         rng = make_rng(seed)
-        lr, decay_a = ((spec.learning_rate, None) if schedule is None
-                       else (schedule.base_rate, schedule.decay_a))
 
         def draw(rows):
             return rng.multivariate_hypergeometric(d.counts,
                                                    minibatch)[:-1] / minibatch
-        states, gaps = descent.descend(spec, lr, d.counts / d.total, tol,
+        states, gaps = descent.descend(spec, d.counts / d.total, tol,
                                        decay_a, draw)
     if true_target is None:
         kls = gaps

@@ -46,6 +46,8 @@ RTOL, ATOL = 1e-10, 1e-12
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 # samples times batch rows per yielded block: bounds the block's temporaries
 BLOCK_ROWS = 4096
+# the default sample grid: a sample every SAMPLE_EVERY-th multiple of DT
+DT, SAMPLE_EVERY = 1e-3, 10
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,8 @@ def sample_times(t_end, dt, sample_every):
     return np.append(grid[grid < t_end - 1e-9 * dt], t_end)
 
 
-def integrate_blocks(loss, chart, target, init_probs, t_end, dt=1e-3,
-                     sample_every=10, affine=None):
+def integrate_blocks(loss, chart, target, init_probs, t_end, dt=DT,
+                     sample_every=SAMPLE_EVERY, affine=None):
     """Integrate one flow from many initializations at once, as a stream.
 
     init_probs is a (B, n+1) array of probability rows.  Yields
@@ -345,8 +347,8 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=1e-3,
         h, grow = h * factor, 1.0
 
 
-def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
-                    sample_every=10, affine=None):
+def integrate_batch(loss, chart, target, init_probs, t_end, dt=DT,
+                    sample_every=SAMPLE_EVERY, affine=None):
     """Integrate one flow from many initializations at once: the blocks of
     integrate_blocks concatenated into (times, states, kls) of shapes (K,),
     (K, B, n), (K, B).  Raises ValueError on settings that check_settings
@@ -356,8 +358,8 @@ def integrate_batch(loss, chart, target, init_probs, t_end, dt=1e-3,
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def integrate(spec: FlowSpec, t_end: float, dt: float = 1e-3,
-              sample_every: int = 10) -> Trajectory:
+def integrate(spec: FlowSpec, t_end: float, dt: float = DT,
+              sample_every: int = SAMPLE_EVERY) -> Trajectory:
     """Integrate a single flow; thin wrapper over the batched integrator."""
     times, states, kls = integrate_batch(
         spec.loss, spec.chart, spec.target, spec.init.probs[None, :],

@@ -264,14 +264,11 @@ class AffineChart:
     """An invertible affine change of exponential coordinates.
 
     thetabar relates to theta via theta = A thetabar + b; the dual mixture
-    coordinates transform covariantly as etabar = A^T eta.  scale_c records
-    the curvature target when the chart was built to equalize conditioning
-    (see make_identity_chart); it is 1.0 for generic charts.
+    coordinates transform covariantly as etabar = A^T eta.
     """
 
     a_matrix: np.ndarray
     b_offset: np.ndarray
-    scale_c: float = 1.0
     a_inv: np.ndarray = dataclasses.field(init=False, repr=False,
                                           compare=False)
 
@@ -284,8 +281,6 @@ class AffineChart:
             raise ValueError("b_offset length must match a_matrix")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("chart entries must be finite")
-        if not self.scale_c > 0:
-            raise ValueError("scale_c must be positive")
         a_inv = np.linalg.inv(a)
         condition = np.linalg.norm(a, 2) * np.linalg.norm(a_inv, 2)
         if not np.isfinite(condition) or condition > 1e12:
@@ -303,17 +298,11 @@ class AffineChart:
 
     # chart maps ------------------------------------------------------------
 
-    def theta_from_barred(self, theta_bar: np.ndarray) -> ThetaCoord:
-        return ThetaCoord(self.a_matrix @ theta_bar + self.b_offset)
-
     def barred_from_theta(self, t: ThetaCoord) -> np.ndarray:
         return self.a_inv @ (t.theta - self.b_offset)
 
     def barred_from_eta(self, e: EtaCoord) -> np.ndarray:
         return self.a_matrix.T @ e.eta
-
-    def eta_from_barred(self, eta_bar: np.ndarray) -> EtaCoord:
-        return EtaCoord(self.a_inv.T @ eta_bar)
 
 
 def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
@@ -330,5 +319,5 @@ def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
     if not c > 0:
         raise ValueError("c must be positive")
     d = sym_sqrt(hess_phi(eta_from_theta(tq))).entries
-    return AffineChart(d / np.sqrt(c), np.zeros(tq.n), scale_c=c)
+    return AffineChart(d / np.sqrt(c), np.zeros(tq.n))
 

@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +23,8 @@ from .descent import (METHODS, DescentSpec, descend_rows, destabilizing_delta,
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
-from .flows import (check_settings, integrate_batch, integrate_blocks,
-                    sample_times)
+from .flows import (DT, SAMPLE_EVERY, check_settings, integrate_batch,
+                    integrate_blocks, sample_times)
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_rows,
                        make_identity_chart)
 from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
@@ -45,8 +44,10 @@ SANDWICH_KL_CAP = 0.1  # sandwich inits are pulled to kl(q||p0) <= this
 AFFINE_RTOL = 0.10  # fitted affine rates within 10% of 2c and 2/c
 ORDERING_FROM = 5  # empirical sandwich: first iteration the ordering holds
 SECTION_S, SECTION_TOL = 0.05, 0.05  # sections: |s| checked, relative slack
-DEFAULT_DT = 1e-3
-DEFAULT_SAMPLE_EVERY = 10
+BALANCE = 0.3  # draw_instance's targets have min q_i >= BALANCE / (n + 1)
+BOUNDS_POOL = 10000  # rate_bounds' Monte Carlo sample of the simplex
+# the ngd perturbation study: spectral norm of each Delta(k), and its steps
+PERTURB_NORM, PERTURB_STEPS = 0.9, 400
 PATH_STRIDE = 20  # the sandwich keeps every 20th state of each chart
 WITNESS_BLOCK = 256  # probes drawn and screened at once; bounds scan memory
 # Monte Carlo chain: steps per block scan, whose (n, L, L) power stack is
@@ -235,28 +236,17 @@ def fit_rates(times, kls):
 def _horizon(kl0, rate, dt):
     """(t_end, dt) running a flow of asymptotic rate `rate` from KL kl0 down
     to ~20x KL_FLOOR, so the fit window is asymptotic, on at most 20,000
-    intervals, which bounds the samples kept (n=10 theta: t_end ~1,500)."""
+    intervals, which bounds the samples kept (n=10 theta: t_end ~1,500).
+    Raises InsufficientDecay when kl0 is not above 20x KL_FLOOR."""
+    if not kl0 > 20.0 * KL_FLOOR:
+        raise InsufficientDecay(f"initial KL {kl0:.9g} is not above "
+                                f"20x KL_FLOOR ({20.0 * KL_FLOOR:g})")
     t_end = np.log(kl0 / (20.0 * KL_FLOOR)) / rate
     return t_end, max(dt, t_end / 20000.0)
 
 
 # ---------------------------------------------------------------------------
 # rate bounds over sublevel sets
-
-
-@lru_cache(maxsize=32)
-def _bounds_pool(loss, q_bytes, n, grid_density, seed):
-    """Per-point losses and extreme Hessian eigenvalues on a shared sample.
-
-    The pool depends on (loss, q) only, so bounds for many different p0
-    against the same target reuse one batched eigenvalue computation.
-    """
-    q = np.frombuffer(q_bytes).reshape(n + 1)
-    pool = random_simplex_batch(make_rng(seed), n, grid_density)
-    pool = np.vstack([q[None, :], pool])  # the optimum always participates
-    losses = kl_rows(q, pool)
-    lmin, lmax = _hessian_extremes(loss, q, pool)
-    return losses, lmin, lmax
 
 
 def _hessian_extremes(loss, q, probs):
@@ -273,11 +263,11 @@ def _hessian_extremes(loss, q, probs):
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint,
-                grid_density: int = 10000, seed: int = 0,
+def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint, seed: int = 0,
                 extra_probs: Optional[np.ndarray] = None) -> RateBounds:
     """Bracket the asymptotic flow rate: (2m, 2L) with m, L the extreme
-    Hessian eigenvalues over a Monte Carlo sample of {x : L(x) <= L(p0)}.
+    Hessian eigenvalues over a Monte Carlo sample of {x : L(x) <= L(p0)}:
+    q and BOUNDS_POOL flat-Dirichlet points drawn from the seed.
 
     extra_probs (rows of probability vectors, e.g. a trajectory's own
     states) are always included so the bound covers the path actually
@@ -285,10 +275,10 @@ def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint,
     """
     if q.n != p0.n:
         raise ValueError("dimension mismatch")
-    losses, lmin, lmax = _bounds_pool(loss, q.probs.tobytes(), q.n,
-                                      int(grid_density), int(seed))
-    level = kl(q, p0)
-    keep = losses <= level + 1e-15
+    pool = np.vstack([q.probs[None, :],  # the optimum always participates
+                      random_simplex_batch(make_rng(seed), q.n, BOUNDS_POOL)])
+    lmin, lmax = _hessian_extremes(loss, q.probs, pool)
+    keep = kl_rows(q.probs, pool) <= kl(q, p0) + 1e-15
     keep[0] = True  # q itself
     m = float(lmin[keep].min())
     big = float(lmax[keep].max())
@@ -317,23 +307,23 @@ def draw_near(q: SimplexPoint, p0: SimplexPoint,
     raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
 
 
-def draw_instance(rng, n: int, balance: float = 0.3) -> SimplexPoint:
+def draw_instance(rng, n: int) -> SimplexPoint:
     """A random target whose smallest probability is not degenerate.
 
-    Flat-Dirichlet draws are rejected until min_i q_i >= balance/(n+1), for
+    Flat-Dirichlet draws are rejected until min_i q_i >= BALANCE/(n+1), for
     at most 100,000 draws.  Very lopsided targets make every flow's
     transient so long and violent that no finite window of the KL curve is
     a clean exponential.
     """
-    q = first_simplex_point(rng, n, balance / (n + 1), 100000)
+    q = first_simplex_point(rng, n, BALANCE / (n + 1), 100000)
     if q is None:
-        raise ExperimentFailure("could not draw a balanced target; lower balance")
+        raise ExperimentFailure("could not draw a balanced target in 100,000 draws")
     return q
 
 
 def sandwich_experiment(n: int, n_inits: int, seed: int,
-                        t_end: Optional[float] = None, dt: float = DEFAULT_DT,
-                        sample_every: int = DEFAULT_SAMPLE_EVERY,
+                        t_end: Optional[float] = None, dt: float = DT,
+                        sample_every: int = SAMPLE_EVERY,
                         out_dir: Optional[str] = None) -> dict:
     """Fit decay rates of the three flows of L_q from many random inits.
 
@@ -445,8 +435,7 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
 
 
 def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
-                           p0: SimplexPoint, dt: float = DEFAULT_DT,
-                           sample_every: int = DEFAULT_SAMPLE_EVERY,
+                           p0: SimplexPoint, dt: float = DT,
                            out_dir: Optional[str] = None) -> dict:
     """Fitted rates in conditioning-equalized affine charts vs 2c and 2/c.
 
@@ -458,7 +447,7 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     for c in c_values:
         if not 0 < c < np.inf:
             raise ValueError(f"every c must be finite and positive, got {c}")
-    check_settings(dt, sample_every)
+    check_settings(dt, SAMPLE_EVERY)
     p_near = draw_near(q, p0)
     tq = to_theta(q)
     hq_eta = hess_phi(to_eta(q)).entries
@@ -476,13 +465,16 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
         fits = []
         for chart_kind, expected in (("affine_eta", 2.0 * c),
                                      ("affine_theta", 2.0 / c)):
-            t_end, dt_chart = _horizon(kl0, expected, dt)
-            times, _states, kls = integrate_batch(
-                "Lq", chart_kind, q, p_near.probs[None, :], t_end,
-                dt=dt_chart, sample_every=sample_every, affine=chart)
-            rate, _, r2, _, reason = fit_rates(times, kls)
-            if reason[0]:
-                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {reason[0]}")
+            try:
+                t_end, dt_chart = _horizon(kl0, expected, dt)
+                times, _states, kls = integrate_batch(
+                    "Lq", chart_kind, q, p_near.probs[None, :], t_end,
+                    dt=dt_chart, affine=chart)
+                rate, _, r2, _, reason = fit_rates(times, kls)
+                if reason[0]:
+                    raise InsufficientDecay(reason[0])
+            except InsufficientDecay as exc:
+                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
             fits.append((float(rate[0]), float(r2[0])))
             ok_rates &= abs(rate[0] - expected) <= AFFINE_RTOL * expected
         (r_eta, r2_eta), (r_theta, r2_theta) = fits
@@ -491,7 +483,7 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     summary = {
         "experiment": "affine",
         "config": {"c_values": list(map(float, c_values)), "dt": dt,
-                   "sample_every": sample_every, "rtol": AFFINE_RTOL},
+                   "sample_every": SAMPLE_EVERY, "rtol": AFFINE_RTOL},
         "target": q.probs.tolist(),
         "init": p_near.probs.tolist(),
         "assertions": {
@@ -705,11 +697,11 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
     return summary
 
 
-def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
-    """ngd at step 1 under random perturbations of spectral norm `norm`.
-    Per seed the noise is drawn once: the start e, then all `steps`
-    matrices in one `normal_rows` call (the same stream as one
-    `normal_matrix` per step)."""
+def _robustness_multiplicative(q, q_eta, q_theta, seeds):
+    """ngd at step 1 under random perturbations of spectral norm
+    PERTURB_NORM.  Per seed the noise is drawn once: the start e, then all
+    PERTURB_STEPS matrices in one `normal_rows` call (the same stream as
+    one `normal_matrix` per step)."""
     n = q.n
     final_norms, envelope_ok = [], True
     for seed in seeds:
@@ -717,13 +709,14 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds, norm=0.9, steps=400):
         e = normal_vector(rng, n)
         e = e / np.linalg.norm(e)
         e0_norm = 1.0
-        ms = normal_rows(rng, steps, n * n).reshape(steps, n, n)
+        ms = normal_rows(rng, PERTURB_STEPS, n * n).reshape(-1, n, n)
         s_norms = np.linalg.norm(ms, 2, axis=(1, 2))
-        for k in range(steps):
-            delta = norm * ms[k] / s_norms[k]
+        for k in range(PERTURB_STEPS):
+            delta = PERTURB_NORM * ms[k] / s_norms[k]
             # ngd, alpha = 1: e(k+1) = e - (I + Delta) e = -Delta e
             e = -(delta @ e)
-            envelope_ok &= np.linalg.norm(e) <= norm ** (k + 1) * e0_norm + 1e-12
+            envelope_ok &= (np.linalg.norm(e)
+                            <= PERTURB_NORM ** (k + 1) * e0_norm + 1e-12)
         final_norms.append(float(np.linalg.norm(e)))
     ngd_ok = all(fn < 1e-8 for fn in final_norms)
 

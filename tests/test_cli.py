@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplex_flows import cli
+from simplex_flows import cli, descent
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +47,12 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "natural_flow_matches_exact = true" in out
+
+
+def test_selftest_ngd_one_step_runs_the_descent_step(monkeypatch):
+    # a linearized update that leaves the error as it is fails the check
+    monkeypatch.setattr(descent, "_error_update", lambda spec, e, *rest: e)
+    assert cli.run_selftest()["ngd_one_step"] is False
 
 
 def test_experiment_failure_exits_1(capsys, lopsided_draws):

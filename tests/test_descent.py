@@ -52,7 +52,7 @@ def test_linearized_run_matches_matrix_recursion():
             ("gd_eta", to_eta(q).eta, hess_phi(to_eta(q)).entries),
             ("gd_theta", to_theta(q).theta, hess_psi(to_theta(q)).entries)):
         spec = DescentSpec(method, "linearized", q, p0, alpha, max_iters=20)
-        traj = run(spec, record_kl=False)
+        traj = run(spec)
         x0 = (to_eta(p0).eta if method == "gd_eta" else to_theta(p0).theta)
         e = x0 - x_star
         m = np.eye(q.n) - alpha * q_mat
@@ -154,7 +154,7 @@ def test_linearized_ngd_is_affine_invariant():
     q, p0 = _pair(7, 2)
     alpha = 0.25
     spec = DescentSpec("ngd", "linearized", q, p0, alpha, max_iters=10)
-    traj = run(spec, record_kl=False)
+    traj = run(spec)
     e0 = to_eta(p0).eta - to_eta(q).eta
     for k, state in enumerate(traj.states):
         expect = to_eta(q).eta + (1.0 - alpha) ** k * e0

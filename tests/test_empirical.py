@@ -5,8 +5,7 @@ import pytest
 
 from simplex_flows.coords import SimplexPoint
 from simplex_flows.descent import DescentSpec, run
-from simplex_flows.empirical import (Dataset, SgdSchedule, empirical_kl,
-                                     empirical_target, run_empirical,
+from simplex_flows.empirical import (Dataset, empirical_target, run_empirical,
                                      sample_dataset)
 from simplex_flows.errors import BoundaryEscape, ZeroCount
 from simplex_flows.geometry import kl
@@ -38,13 +37,6 @@ def test_empirical_target_and_zero_count():
     assert np.allclose(q_hat.probs, [0.1, 0.2, 0.7])
     with pytest.raises(ZeroCount):
         empirical_target(Dataset(np.array([5, 0, 5])))
-
-
-def test_empirical_kl_is_gap_to_qhat():
-    d = Dataset(np.array([25, 25, 50]))
-    p = SimplexPoint(np.array([0.3, 0.3, 0.4]))
-    assert empirical_kl(d, p) == pytest.approx(kl(empirical_target(d), p),
-                                               abs=1e-14)
 
 
 def test_full_batch_is_bit_identical_to_descent():
@@ -139,7 +131,7 @@ def test_minibatch_run_approaches_qhat():
     p0 = random_simplex_point(rng, 2)
     spec = DescentSpec("ngd", "nonlinear", q_hat, p0, 0.5, max_iters=300)
     traj = run_empirical(spec, d, minibatch=1000,
-                         schedule=SgdSchedule(0.5, decay_a=100.0), seed=11)
+                         decay_a=100.0, seed=11)
     assert traj.loss_gaps[-1] < 0.01
     assert traj.loss_gaps[-1] < traj.loss_gaps[0]
 
@@ -181,15 +173,10 @@ def test_run_empirical_argument_validation():
     with pytest.raises(ValueError):
         run_empirical(spec, d, minibatch=10 ** 9)
     with pytest.raises(ValueError):
-        run_empirical(spec, d, schedule=SgdSchedule(0.5))   # schedule, no minibatch
+        run_empirical(spec, d, decay_a=1000.0)   # decay, no minibatch
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="decay_a must be finite"):
+            run_empirical(spec, d, minibatch=10, decay_a=bad)
     lin = DescentSpec("ngd", "linearized", q_hat, q, 0.5)
     with pytest.raises(ValueError):
         run_empirical(lin, d, minibatch=10)
-
-
-def test_sgd_schedule():
-    s = SgdSchedule(0.5, decay_a=1000.0)
-    assert s.rate(0) == pytest.approx(0.5)
-    assert s.rate(1000) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        SgdSchedule(-0.1)

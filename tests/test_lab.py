@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -13,8 +14,7 @@ from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
                                    step_rows, valid_rows)
-from simplex_flows.empirical import (Dataset, SgdSchedule, empirical_target,
-                                     run_empirical)
+from simplex_flows.empirical import Dataset, empirical_target, run_empirical
 from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
                                   InsufficientDecay, NonFinite,
                                   WitnessNotFound)
@@ -241,9 +241,10 @@ def _draw_instance_per_point(rng, n, balance=0.3):
     raise ExperimentFailure("could not draw a balanced target; lower balance")
 
 
-def _assert_same_draw_and_stream(n, seed, balance=0.3):
+def _assert_same_draw_and_stream(n, seed, balance=lab.BALANCE):
     rng, ref = make_rng(seed), make_rng(seed)
-    q = lab.draw_instance(rng, n, balance)
+    q = (lab.draw_instance(rng, n) if balance == lab.BALANCE else
+         rng_module.first_simplex_point(rng, n, balance / (n + 1), 100000))
     assert np.array_equal(q.probs, _draw_instance_per_point(ref, n, balance).probs)
     assert np.array_equal(rng.random(9), ref.random(9))
 
@@ -269,12 +270,13 @@ def test_draw_instance_at_n40_is_an_experiment_failure():
         lab.draw_instance(make_rng(0), 40)
 
 
-def test_rate_bounds_bracket_curvature_at_optimum():
+def test_rate_bounds_bracket_curvature_at_optimum(monkeypatch):
     rng = make_rng(2)
     q = lab.draw_instance(rng, 2)
     p0 = random_simplex_point(rng, 2)
     vals = eigh(hess_phi(to_eta(q))).values
-    b = lab.rate_bounds("Lq_eta", q, p0, grid_density=2000)
+    monkeypatch.setattr(lab, "BOUNDS_POOL", 2000)
+    b = lab.rate_bounds("Lq_eta", q, p0)
     # the sublevel set contains the optimum, so the bracket must include
     # twice the extreme eigenvalues there
     assert b.m_lo <= 2.0 * vals[0] + 1e-9
@@ -290,17 +292,28 @@ def test_affine_rate_experiment_needs_a_c():
         lab.affine_rate_experiment([], q, p0)
 
 
-def test_rate_bounds_reported_sides_stable_under_refinement():
+@pytest.mark.filterwarnings("error")
+def test_affine_init_at_the_target_is_insufficient_decay():
+    # no decay to fit from KL 0: the horizon rule says so before any log
+    q = lab.draw_instance(make_rng(5), 2)
+    with pytest.raises(InsufficientDecay, match=re.escape(
+            "c = 1, affine_eta: initial KL 0 is not above 20x KL_FLOOR "
+            "(2e-12)")):
+        lab.affine_rate_experiment([1.0], q, q)
+
+
+def test_rate_bounds_reported_sides_stable_under_refinement(monkeypatch):
     # quadrupling the sample only nudges the sides each loss actually
     # reports (the lower bound for the eta chart, the upper for theta)
     rng = make_rng(3)
     q = lab.draw_instance(rng, 2)
     p0 = random_simplex_point(rng, 2)
-    lo_c = lab.rate_bounds("Lq_eta", q, p0, grid_density=10000).m_lo
-    lo_f = lab.rate_bounds("Lq_eta", q, p0, grid_density=40000).m_lo
+    lo_c = lab.rate_bounds("Lq_eta", q, p0).m_lo
+    hi_c = lab.rate_bounds("Lq_theta", q, p0).l_hi
+    monkeypatch.setattr(lab, "BOUNDS_POOL", 4 * lab.BOUNDS_POOL)
+    lo_f = lab.rate_bounds("Lq_eta", q, p0).m_lo
     assert abs(lo_f - lo_c) <= 0.02 * lo_c
-    hi_c = lab.rate_bounds("Lq_theta", q, p0, grid_density=10000).l_hi
-    hi_f = lab.rate_bounds("Lq_theta", q, p0, grid_density=40000).l_hi
+    hi_f = lab.rate_bounds("Lq_theta", q, p0).l_hi
     assert abs(hi_f - hi_c) <= 0.02 * hi_c
 
 
@@ -564,7 +577,7 @@ def test_one_row_sweep_time_is_the_first_hit_of_a_single_run(method, mode):
             try:
                 if mode == "sgd":
                     traj = run_empirical(spec, d, minibatch=minibatch,
-                                         schedule=SgdSchedule(lr, decay_a),
+                                         decay_a=decay_a,
                                          seed=[seed, 91, idx], tol=tol)
                 else:
                     traj = run(spec, tol)

@@ -189,7 +189,6 @@ def test_rate_bounds_pool_emits_no_runtime_warning():
                      np.r_[0.02, 0.02, np.full(9, 0.96 / 9)],
                      np.r_[np.full(9, 0.04), 0.32, 0.32],
                      np.r_[0.01, 0.05, 0.05, np.full(8, 0.89 / 8)]])
-    lab._bounds_pool.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for loss in ("Lq_eta", "Lq_theta"):
@@ -333,14 +332,12 @@ def test_rate_bounds_calls_no_dense_eigensolver(monkeypatch):
     q = lab.draw_instance(rng, 10)
     p0 = random_simplex_point(rng, 10)
     extra = random_simplex_batch(rng, 10, 20)
-    lab._bounds_pool.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(lab, "BOUNDS_POOL", 500)
     for loss in ("Lq_eta", "Lq_theta"):
-        bounds = lab.rate_bounds(loss, q, p0, grid_density=500, seed=3,
-                                 extra_probs=extra)
+        bounds = lab.rate_bounds(loss, q, p0, seed=3, extra_probs=extra)
         assert 0.0 < bounds.m_lo < bounds.l_hi < np.inf
-    lab._bounds_pool.cache_clear()
 
 
 def test_hessian_extremes_build_no_dense_stack():

@@ -38,7 +38,8 @@ from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
                      state_rows, to_eta, to_theta, valid_rows)
 from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
-from .geometry import SymMatrix, field, hess_phi, hess_psi, kl_rows
+from .geometry import (SymMatrix, field, hess_phi, hess_psi, kl_rows,
+                       lq_theta_pull)
 from .rng import make_rng, normal_vector
 from .spectral import EigenDecomposition, eigh
 
@@ -115,10 +116,15 @@ def check_rows(method: str, x: np.ndarray, k: int, alpha: float) -> None:
 
 
 def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
-              alpha: Union[float, np.ndarray]) -> np.ndarray:
+              alpha: Union[float, np.ndarray],
+              probs: Optional[np.ndarray] = None) -> np.ndarray:
     """One nonlinear update x + alpha field of every (B, n) state row toward
     the mixture point target_eta ((n,) or one per row), with step size alpha
-    (a float, or a (B, 1) column of one step size per row)."""
+    (a float, or a (B, 1) column of one step size per row).  probs, the
+    probability rows of x when the caller has them, spare the gd_theta
+    field its softmax."""
+    if method == "gd_theta" and probs is not None:
+        return x + alpha * lq_theta_pull(probs, target_eta)
     return x + alpha * field("Lq", METHOD_CHARTS[method], x, target_eta)
 
 
@@ -170,12 +176,15 @@ def descend_rows(method: str, x: np.ndarray, lr, q: np.ndarray,
     with lr[r] (times a/(k + a) given decay_a = a) toward q, or toward the
     rows of draw(rows).  A row leaves once its gap is within tol; one that
     leaves the domain finishes its group of rows (r // group) or, with no
-    group, raises check_rows' error."""
+    group, raises check_rows' error.  The probability rows of the gaps are
+    carried into the next step, so gd_theta takes one softmax per
+    iteration."""
     rows, lr = np.arange(len(x)), np.asarray(lr, dtype=float)[:, None]
     for k in range(max_iters + 1):
         if k:
             alpha = lr if decay_a is None else lr * decay_a / (k - 1 + decay_a)
-            x = step_rows(method, x, draw(rows) if draw else q[:-1], alpha)
+            x = step_rows(method, x, draw(rows) if draw else q[:-1], alpha,
+                          probs=p)
             ok = valid_rows(method, x)
             if not ok.all():
                 if group is None:
@@ -183,10 +192,11 @@ def descend_rows(method: str, x: np.ndarray, lr, q: np.ndarray,
                 ok = ~np.isin(rows // group, rows[~ok] // group)
                 rows, x, lr = rows[ok], x[ok], lr[ok]
         with np.errstate(divide="ignore"):
-            gaps = kl_rows(q, probs_rows(method, x))
+            p = probs_rows(method, x)
+            gaps = kl_rows(q, p)
         yield k, rows, x, gaps
         live = slice(None) if tol is None else ~(gaps <= tol)
-        rows, x, lr = rows[live], x[live], lr[live]
+        rows, x, lr, p = rows[live], x[live], lr[live], p[live]
         if not rows.size:
             return
 

@@ -137,6 +137,11 @@ def _exponential_pull(e, v):
     return e * v - e * (e * v).sum(axis=1, keepdims=True)
 
 
+def lq_theta_pull(p, eta_q):
+    """-grad L_q in theta, eta_q - eta, from the states' probability rows."""
+    return eta_q - p[:, :-1]
+
+
 def _lq_natural_theta(x, eta_q):
     p = softmax_rows(x)  # the last probability itself: 1 - sum(eta) cancels
     return _mixture_pull(p[:, :-1], eta_q, p[:, -1:])
@@ -145,7 +150,7 @@ def _lq_natural_theta(x, eta_q):
 FIELDS = {
     ("Lq", "eta"): lambda x, t: _mixture_pull(
         x, t, 1.0 - x.sum(axis=1, keepdims=True)),
-    ("Lq", "theta"): lambda x, t: t - softmax_rows(x)[:, :-1],
+    ("Lq", "theta"): lambda x, t: lq_theta_pull(softmax_rows(x), t),
     ("Lq", "natural_eta"): lambda x, t: t - x,
     ("Lq", "natural_theta"): _lq_natural_theta,
     ("Lstar", "eta"): lambda x, t: t - _theta_of_eta(x),

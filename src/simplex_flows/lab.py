@@ -7,6 +7,7 @@ echo and pass/fail flags.  All floats are written with 9 significant
 digits so reruns with the same seed are byte-identical.
 """
 
+import itertools
 import json
 import math
 import os
@@ -27,8 +28,9 @@ from .flows import (DT, SAMPLE_EVERY, check_settings, integrate_batch,
                     integrate_blocks, sample_times)
 from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_rows,
                        make_identity_chart)
-from .rng import (first_simplex_point, make_rng, normal_matrix, normal_rows,
-                  normal_vector, random_simplex_batch, random_simplex_point)
+from .rng import (DRAW_BLOCK, first_simplex_point, make_rng, normal_matrix,
+                  normal_rows, normal_vector, random_simplex_batch,
+                  random_simplex_point)
 from .spectral import cond, eigh, rank_one_extremes, solve_lyapunov
 
 KL_FLOOR = 1e-13
@@ -272,21 +274,28 @@ def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint, seed: int = 0,
     extra_probs (rows of probability vectors, e.g. a trajectory's own
     states) are always included so the bound covers the path actually
     taken.
+
+    The pool streams from the one generator in blocks of DRAW_BLOCK rows
+    (a batch's rows are its single draws), the secular equations run only
+    on the rows inside the sublevel set, and the extra rows pass in blocks
+    too: memory does not grow with BOUNDS_POOL.
     """
     if q.n != p0.n:
         raise ValueError("dimension mismatch")
-    pool = np.vstack([q.probs[None, :],  # the optimum always participates
-                      random_simplex_batch(make_rng(seed), q.n, BOUNDS_POOL)])
-    lmin, lmax = _hessian_extremes(loss, q.probs, pool)
-    keep = kl_rows(q.probs, pool) <= kl(q, p0) + 1e-15
-    keep[0] = True  # q itself
-    m = float(lmin[keep].min())
-    big = float(lmax[keep].max())
-    if extra_probs is not None and len(extra_probs):
-        xmin, xmax = _hessian_extremes(loss, q.probs,
-                                       np.atleast_2d(np.asarray(extra_probs)))
-        m = min(m, float(xmin.min()))
-        big = max(big, float(xmax.max()))
+    rng, level = make_rng(seed), kl(q, p0) + 1e-15
+    draws = (random_simplex_batch(rng, q.n, min(DRAW_BLOCK, BOUNDS_POOL - i))
+             for i in range(0, BOUNDS_POOL, DRAW_BLOCK))
+    extra = (() if extra_probs is None or not len(extra_probs)
+             else np.atleast_2d(np.asarray(extra_probs, dtype=float)))
+    blocks = itertools.chain(
+        [q.probs[None, :]],  # the optimum always participates
+        (rows[kl_rows(q.probs, rows) <= level] for rows in draws),
+        (extra[i:i + DRAW_BLOCK] for i in range(0, len(extra), DRAW_BLOCK)))
+    m, big = np.inf, 0.0
+    for rows in blocks:
+        if len(rows):
+            lo, hi = _hessian_extremes(loss, q.probs, rows)
+            m, big = min(m, float(lo.min())), max(big, float(hi.max()))
     return RateBounds(2.0 * m, 2.0 * big)
 
 

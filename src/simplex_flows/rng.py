@@ -18,7 +18,7 @@ import numpy as np
 from .coords import SimplexPoint
 
 TWO_PI = 2.0 * np.pi
-DRAW_BLOCK = 1024  # simplex draws scanned at once by first_simplex_point
+DRAW_BLOCK = 1024  # draws made at once: first_simplex_point, rate_bounds
 
 
 def make_rng(seed: int) -> np.random.Generator:

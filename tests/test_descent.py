@@ -4,14 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, to_eta,
-                                  to_theta)
+from simplex_flows import coords, geometry
+from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
+                                  probs_rows, softmax_rows, state_rows,
+                                  to_eta, to_theta)
 from simplex_flows.descent import (DescentSpec, NoiseModel, check_rows,
-                                   destabilizing_delta, optimal_lr, run,
-                                   step)
+                                   descend_rows, destabilizing_delta,
+                                   optimal_lr, run, step, step_rows)
 from simplex_flows.errors import BoundaryEscape, NonFinite
-from simplex_flows.geometry import hess_phi, hess_psi, kl
-from simplex_flows.rng import make_rng, normal_vector, random_simplex_point
+from simplex_flows.geometry import hess_phi, hess_psi, kl, kl_rows
+from simplex_flows.rng import (make_rng, normal_vector, random_simplex_batch,
+                               random_simplex_point)
 from simplex_flows.spectral import cond, eigh
 
 
@@ -223,3 +226,38 @@ def test_noisy_run_records_nan_instead_of_raising():
     traj = run(spec)
     assert traj.kl_values.size == 31   # ran to completion
     assert np.isnan(traj.kl_values).any()
+
+
+@pytest.mark.parametrize("drawn", [False, True])
+def test_gd_theta_descent_carries_its_probability_rows(monkeypatch, drawn):
+    # the gaps' probability rows feed the next step: one softmax per
+    # iteration, and the states and gaps of stepping by the field itself
+    rng = make_rng(4)
+    q = random_simplex_point(rng, 5).probs
+    x0 = state_rows("gd_theta", random_simplex_batch(rng, 5, 8))
+    lr = np.geomspace(0.5, 4.0, 8)
+    targets = random_simplex_batch(rng, 5, 8)[:, :-1]
+    draw = (lambda rows: targets[rows]) if drawn else None
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return softmax_rows(x)
+
+    monkeypatch.setattr(coords, "softmax_rows", counted)
+    monkeypatch.setattr(geometry, "softmax_rows", counted)
+    got = list(descend_rows("gd_theta", x0, lr, q, 1e-3, 30, draw=draw))
+    monkeypatch.undo()
+    assert len(calls) == len(got) == 31
+    rows, x, lr_col = np.arange(8), x0, lr[:, None]
+    for k, got_rows, got_x, got_gaps in got:
+        if k:
+            x = step_rows("gd_theta", x, targets[rows] if drawn else q[:-1],
+                          lr_col)
+        gaps = kl_rows(q, probs_rows("gd_theta", x))
+        assert got_rows.tolist() == rows.tolist()
+        assert got_x.tobytes() == x.tobytes()
+        assert got_gaps.tobytes() == gaps.tobytes()
+        live = ~(gaps <= 1e-3)
+        rows, x, lr_col = rows[live], x[live], lr_col[live]
+    assert 0 < len(rows) < 8 or drawn

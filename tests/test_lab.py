@@ -317,6 +317,52 @@ def test_rate_bounds_reported_sides_stable_under_refinement(monkeypatch):
     assert abs(hi_f - hi_c) <= 0.02 * hi_c
 
 
+def _one_shot_rate_bounds(loss, q, p0, seed, extra_probs=None):
+    # the whole pool stacked and solved at once, filtered afterwards
+    draws = random_simplex_batch(make_rng(seed), q.n, lab.BOUNDS_POOL)
+    pool = np.vstack([q.probs[None, :], draws])
+    lmin, lmax = lab._hessian_extremes(loss, q.probs, pool)
+    keep = kl_rows(q.probs, pool) <= kl(q, p0) + 1e-15
+    keep[0] = True
+    m, big = float(lmin[keep].min()), float(lmax[keep].max())
+    if extra_probs is not None:
+        xmin, xmax = lab._hessian_extremes(loss, q.probs, extra_probs)
+        m, big = min(m, float(xmin.min())), max(big, float(xmax.max()))
+    return 2.0 * m, 2.0 * big
+
+
+@pytest.mark.parametrize("pool", [500, 2500, 10000])
+def test_streamed_rate_bounds_equal_the_one_shot_pool(monkeypatch, pool):
+    # below one block, not a multiple of the block, and the default pool;
+    # the extra rows span two blocks and lie near q, inside the sublevel set
+    monkeypatch.setattr(lab, "BOUNDS_POOL", pool)
+    for seed in range(10):
+        rng = make_rng(seed)
+        q = lab.draw_instance(rng, 10)
+        p0 = random_simplex_point(rng, 10)
+        extra = 0.9 * q.probs + 0.1 * random_simplex_batch(rng, 10, 1500)
+        for loss in ("Lq_eta", "Lq_theta"):
+            for rows in (None, extra):
+                b = lab.rate_bounds(loss, q, p0, seed=seed, extra_probs=rows)
+                assert (b.m_lo, b.l_hi) == _one_shot_rate_bounds(
+                    loss, q, p0, seed, rows), (pool, seed, loss)
+
+
+def test_rate_bounds_memory_does_not_grow_with_the_pool():
+    # the one-shot pool of 10,001 rows peaked at 6.9 MiB
+    rng = make_rng(0)
+    q = lab.draw_instance(rng, 10)
+    p0 = random_simplex_point(rng, 10)
+    lab.rate_bounds("Lq_eta", q, p0)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        lab.rate_bounds("Lq_eta", q, p0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_witness_found_for_asymmetric_target_only():
     p = SimplexPoint(np.array([0.7, 0.2, 0.1]))
     w = lab.nonconvexity_witness(p, search_seed=0, budget=2000)
@@ -598,14 +644,14 @@ def test_rate_leaving_domain_stops_stepping_and_drawing(monkeypatch, method,
     left = {}     # grid index -> iteration at which one of its rows left
     draws = {}    # grid index -> minibatch draws of its generator
 
-    def step(m, y, target, alpha):
+    def step(m, y, target, alpha, **carried):
         k = len(stepped)
         lrs = np.array(grid) if mode == "full_batch" else (
             np.array(grid) * decay_a / (k + decay_a))
         match = alpha == lrs  # (rows, G): the rate of each row
         assert (match.sum(axis=1) == 1).all()
         stepped.append(match.argmax(axis=1))
-        return step_rows(m, y, target, alpha)
+        return step_rows(m, y, target, alpha, **carried)
 
     def valid(m, y):
         ok = valid_rows(m, y)

@@ -5,14 +5,14 @@ coordinates eta (the first n probabilities) and exponential coordinates
 theta (log-odds against the last outcome).  This package implements the
 conversions, the dual potentials and their Hessians, continuous gradient
 flows of the KL loss in either chart, their natural-gradient counterpart,
-discrete-time descent (exact, linearized, and noisy), learning from
-sampled data, and an experiment harness with a CLI front end.
+discrete-time descent (exact and linearized), learning from sampled data,
+and an experiment harness with a CLI front end.
 """
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
                      phi, psi, simplex_from_eta, simplex_from_theta,
                      theta_from_eta, to_eta, to_theta)
-from .descent import (DescentSpec, NoiseModel, destabilizing_delta,
+from .descent import (DescentSpec, closed_loop, destabilizing_delta,
                       optimal_lr, run, step)
 from .empirical import (Dataset, empirical_target, run_empirical,
                         sample_dataset)

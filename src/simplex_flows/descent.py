@@ -24,9 +24,10 @@ with a column of step sizes).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
-Noise enters only the linearized dynamics: multiplicative noise replaces
-the (preconditioned) gradient v by (I + Delta(k)) v; additive noise adds a
-unit-covariance Gaussian vector to the state after the update.
+closed_loop is that update's matrix, I - alpha (I + Delta) Q with an
+optional multiplicative gradient perturbation Delta: step takes one
+linearized step with it, and the robustness study of the lab module runs
+its closed loops with it.  The descent loops run the nonlinear update.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
 from .geometry import (SymMatrix, field, hess_phi, hess_psi, kl_rows,
                        lq_theta_pull)
-from .rng import make_rng, normal_vector
 from .spectral import EigenDecomposition, eigh
 
 # the chart each method iterates, along the L_q field of that chart
@@ -50,40 +50,18 @@ VARIANTS = ("nonlinear", "linearized")
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Gradient noise for the linearized dynamics.
-
-    kind "multiplicative": delta is an (n, n) matrix; the update uses
-    (I + delta) times the gradient.
-    kind "additive": i.i.d. N(0, I) vectors drawn from a counter-based
-    generator seeded with `seed` are added to the state each step.
-    """
-
-    kind: str = "none"
-    delta: Optional[np.ndarray] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "multiplicative", "additive"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "multiplicative" and self.delta is None:
-            raise ValueError("multiplicative noise needs a delta")
-
-
-@dataclass(frozen=True)
 class DescentSpec:
     """One descent run: method ("gd_eta", "gd_theta" or "ngd", where ngd is
     the mixture update eta <- eta - alpha (eta - eta_q) in either variant),
-    variant ("nonlinear" or "linearized" about the target), target and
-    initial points, step size alpha, noise (linearized only) and the
-    iteration cap."""
+    variant ("nonlinear", or "linearized" about the target, which only step
+    takes), target and initial points, step size alpha and the iteration
+    cap."""
 
     method: str
     variant: str
     target: SimplexPoint
     init: SimplexPoint
     learning_rate: float
-    noise: NoiseModel = NoiseModel()
     max_iters: int = 100
 
     def __post_init__(self):
@@ -97,8 +75,6 @@ class DescentSpec:
             raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.noise.kind != "none" and self.variant != "linearized":
-            raise ValueError("noise models apply to the linearized variant only")
 
 
 def check_rows(method: str, x: np.ndarray, k: int, alpha: float) -> None:
@@ -136,32 +112,27 @@ def _curvature_at_optimum(spec: DescentSpec) -> np.ndarray:
     return np.eye(spec.target.n)
 
 
-def _error_update(spec: DescentSpec, e: np.ndarray, q_mat: np.ndarray,
-                  rng) -> np.ndarray:
-    """One linearized step in error coordinates e = x - x*."""
-    a = spec.learning_rate
-    v = q_mat @ e
-    if spec.noise.kind == "multiplicative":
-        v = v + np.asarray(spec.noise.delta, dtype=float) @ v
-    e_next = e - a * v
-    if spec.noise.kind == "additive":
-        if rng is None:
-            raise ValueError("additive noise requires an rng")
-        e_next = e_next + normal_vector(rng, e.size)
-    return e_next
+def closed_loop(q_mat: np.ndarray, alpha: float, delta=0.0) -> np.ndarray:
+    """The linearized update e <- (I - alpha (I + delta) Q) e of the error
+    e = x - x* about the optimum, as its matrix: Q the curvature there,
+    alpha the step size and delta an (n, n) multiplicative perturbation of
+    the gradient (none by default)."""
+    eye = np.eye(len(q_mat))
+    return eye - alpha * (eye + delta) @ q_mat
 
 
-def step(spec: DescentSpec, state, rng=None):
+def step(spec: DescentSpec, state):
     """One descent update of an EtaCoord (gd_eta, ngd) or ThetaCoord
-    (gd_theta) state; returns the same coordinate type."""
+    (gd_theta) state; returns the same coordinate type.  The linearized
+    variant steps x* + closed_loop(Q, alpha) (x - x*)."""
     x = state.eta if isinstance(state, EtaCoord) else state.theta
     if spec.variant == "nonlinear":
         x = step_rows(spec.method, x[None, :], spec.target.probs[:-1],
                       spec.learning_rate)[0]
     else:
         x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
-        x = x_star + _error_update(spec, x - x_star,
-                                   _curvature_at_optimum(spec), rng)
+        x = x_star + closed_loop(_curvature_at_optimum(spec),
+                                 spec.learning_rate) @ (x - x_star)
     return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
 
@@ -206,6 +177,9 @@ def descend(spec: DescentSpec, q: np.ndarray, tol: Optional[float],
     """States and gaps of descend_rows from spec.init with step size
     spec.learning_rate, its initial state checked too, for at most
     spec.max_iters iterations."""
+    if spec.variant != "nonlinear":
+        raise ValueError("descent loops run the nonlinear update, not the "
+                         f"{spec.variant} variant")
     x = state_rows(spec.method, spec.init.probs[None, :])
     check_rows(spec.method, x, 0, spec.learning_rate)
     path = [(x[0], gaps[0]) for _, _, x, gaps in descend_rows(
@@ -215,39 +189,15 @@ def descend(spec: DescentSpec, q: np.ndarray, tol: Optional[float],
 
 
 def run(spec: DescentSpec, tol: Optional[float] = None) -> Trajectory:
-    """Iterate the update, recording the state and KL to the target.
+    """Iterate the nonlinear update, recording the state and KL to the target.
 
-    Stops early once KL drops to tol (if given).  Noise-free runs whose
-    mixture state leaves the simplex raise BoundaryEscape; overflowing
-    exponential states raise NonFinite.  Noisy runs record NaN for the KL
-    whenever the state has no interior representation.
+    Stops early once KL drops to tol (if given).  A mixture state that
+    leaves the simplex raises BoundaryEscape; an overflowing exponential
+    state raises NonFinite.  A linearized spec raises ValueError: its update
+    is stepped with step.
     """
-    method, q = spec.method, spec.target.probs
-    if spec.variant == "nonlinear":
-        states, kls = descend(spec, q, tol)
-        return Trajectory(np.arange(len(states), dtype=float), states, kls)
-    x_star = state_rows(method, q[None, :])
-    q_mat = _curvature_at_optimum(spec)
-    rng = make_rng(spec.noise.seed) if spec.noise.kind == "additive" else None
-    x = state_rows(method, spec.init.probs[None, :])
-    e = x[0] - x_star[0]
-
-    def kl_of(xv, k):
-        if spec.noise.kind != "none" and not valid_rows(method, xv)[0]:
-            return np.nan
-        check_rows(method, xv, k, spec.learning_rate)
-        return kl_rows(q, probs_rows(method, xv))[0]
-
-    states, kls = [x[0]], [kl_of(x, 0)]
-    for k in range(spec.max_iters):
-        if tol is not None and kls[-1] <= tol:
-            break
-        e = _error_update(spec, e, q_mat, rng)
-        x = x_star + e
-        states.append(x[0])
-        kls.append(kl_of(x, k + 1))
-    return Trajectory(np.arange(len(states), dtype=float),
-                      np.array(states), np.array(kls))
+    states, kls = descend(spec, spec.target.probs, tol)
+    return Trajectory(np.arange(len(states), dtype=float), states, kls)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,6 @@ def run_empirical(spec: descent.DescentSpec, d: Dataset,
         traj = descent.run(spec, tol=tol)
         states, gaps = traj.states, traj.kl_values
     else:
-        if spec.variant != "nonlinear":
-            raise ValueError("minibatch descent uses the nonlinear updates")
         if not 1 <= minibatch <= d.total:
             raise ValueError("minibatch size must be between 1 and the dataset size")
         if decay_a is not None and not (math.isfinite(decay_a) and decay_a > 0):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, simplex_from_theta,
                      softmax_rows, to_eta, to_theta)
-from .descent import (METHODS, DescentSpec, descend_rows, destabilizing_delta,
-                      optimal_lr, state_rows)
+from .descent import (METHODS, DescentSpec, closed_loop, descend_rows,
+                      destabilizing_delta, optimal_lr, state_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
@@ -733,15 +733,15 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds):
     for name, mat in (("gd_eta", q_eta), ("gd_theta", q_theta)):
         delta = destabilizing_delta(mat).entries
         alpha = optimal_lr(mat, "optimal")
-        closed_loop = np.eye(n) - alpha * (np.eye(n) + delta) @ mat
-        eigvals = np.linalg.eigvals(closed_loop)
+        m_mat = closed_loop(mat, alpha, delta)
+        eigvals = np.linalg.eigvals(m_mat)
         dist = float(np.abs(eigvals + 1.0).min())
         # error direction of the -1 eigenvalue = null vector of M + I
-        _u, _s, vt = np.linalg.svd(closed_loop + np.eye(n))
+        _u, _s, vt = np.linalg.svd(m_mat + np.eye(n))
         e = vt[-1]
         min_norm = 1.0
         for _ in range(1000):
-            e = closed_loop @ e
+            e = m_mat @ e
             min_norm = min(min_norm, float(np.linalg.norm(e)))
         gd_results[name] = {
             "delta_norm": float(np.linalg.norm(delta, 2)),
@@ -823,7 +823,7 @@ def _robustness_additive(q, q_eta, q_theta, seeds):
         alpha = optimal_lr(dec, "optimal")
         kappa = cond(dec)
         p_stat = solve_lyapunov(dec, alpha).entries
-        m_mat = np.eye(n) - alpha * mat
+        m_mat = closed_loop(mat, alpha)
         resid = float(np.abs(m_mat @ p_stat @ m_mat + np.eye(n) - p_stat).max())
         lam_max = float(eigh(p_stat).values[-1])
         closed_form = (kappa + 1.0) ** 2 / (4.0 * kappa)

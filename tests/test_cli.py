@@ -51,7 +51,8 @@ def test_selftest(capsys):
 
 def test_selftest_ngd_one_step_runs_the_descent_step(monkeypatch):
     # a linearized update that leaves the error as it is fails the check
-    monkeypatch.setattr(descent, "_error_update", lambda spec, e, *rest: e)
+    monkeypatch.setattr(descent, "closed_loop",
+                        lambda q_mat, alpha, delta=0.0: np.eye(len(q_mat)))
     assert cli.run_selftest()["ngd_one_step"] is False
 
 

@@ -4,16 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from simplex_flows import coords, geometry
+from simplex_flows import coords, geometry, lab
 from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
                                   probs_rows, softmax_rows, state_rows,
                                   to_eta, to_theta)
-from simplex_flows.descent import (DescentSpec, NoiseModel, check_rows,
+from simplex_flows.descent import (DescentSpec, check_rows, closed_loop,
                                    descend_rows, destabilizing_delta,
                                    optimal_lr, run, step, step_rows)
 from simplex_flows.errors import BoundaryEscape, NonFinite
 from simplex_flows.geometry import hess_phi, hess_psi, kl, kl_rows
-from simplex_flows.rng import (make_rng, normal_vector, random_simplex_batch,
+from simplex_flows.rng import (make_rng, random_simplex_batch,
                                random_simplex_point)
 from simplex_flows.spectral import cond, eigh
 
@@ -21,6 +21,15 @@ from simplex_flows.spectral import cond, eigh
 def _pair(seed, n):
     rng = make_rng(seed)
     return random_simplex_point(rng, n), random_simplex_point(rng, n)
+
+
+def _step_path(spec, state):
+    # the states of spec.max_iters linearized steps, the start included
+    path = [state]
+    for _ in range(spec.max_iters):
+        path.append(step(spec, path[-1]))
+    return np.array([s.theta if spec.method == "gd_theta" else s.eta
+                     for s in path])
 
 
 def test_spec_validation():
@@ -31,11 +40,8 @@ def test_spec_validation():
         DescentSpec("ngd", "nope", q, p0, 0.1)
     with pytest.raises(ValueError):
         DescentSpec("ngd", "nonlinear", q, p0, -0.1)
-    with pytest.raises(ValueError):
-        DescentSpec("ngd", "nonlinear", q, p0, 0.1,
-                    noise=NoiseModel("additive"))
-    with pytest.raises(ValueError):
-        NoiseModel("multiplicative")   # needs a delta
+    with pytest.raises(ValueError, match="not the linearized variant"):
+        run(DescentSpec("ngd", "linearized", q, p0, 0.1))
 
 
 def test_linearized_ngd_converges_in_one_step_at_alpha_one():
@@ -43,8 +49,7 @@ def test_linearized_ngd_converges_in_one_step_at_alpha_one():
     spec = DescentSpec("ngd", "linearized", q, p0, 1.0)
     out = step(spec, to_eta(p0))
     assert np.array_equal(out.eta, to_eta(q).eta)   # exact, not approximate
-    traj = run(spec, tol=None)
-    assert traj.kl_values[1] == 0.0
+    assert kl_rows(q.probs, probs_rows("ngd", out.eta[None, :]))[0] == 0.0
 
 
 def test_linearized_run_matches_matrix_recursion():
@@ -55,11 +60,11 @@ def test_linearized_run_matches_matrix_recursion():
             ("gd_eta", to_eta(q).eta, hess_phi(to_eta(q)).entries),
             ("gd_theta", to_theta(q).theta, hess_psi(to_theta(q)).entries)):
         spec = DescentSpec(method, "linearized", q, p0, alpha, max_iters=20)
-        traj = run(spec)
-        x0 = (to_eta(p0).eta if method == "gd_eta" else to_theta(p0).theta)
-        e = x0 - x_star
+        start = to_eta(p0) if method == "gd_eta" else to_theta(p0)
+        states = _step_path(spec, start)
+        e = states[0] - x_star
         m = np.eye(q.n) - alpha * q_mat
-        for k, state in enumerate(traj.states):
+        for k, state in enumerate(states):
             assert np.abs(state - (x_star + e)).max() < 1e-12
             e = m @ e
 
@@ -107,9 +112,61 @@ def test_destabilizing_delta_places_eigenvalue_at_minus_one():
     kappa = 3.0
     assert np.linalg.norm(delta, 2) == pytest.approx(1.0 / kappa, abs=1e-12)
     alpha = optimal_lr(q_mat, "optimal")
-    closed = np.eye(2) - alpha * (np.eye(2) + delta) @ q_mat
-    eigs = np.linalg.eigvals(closed)
+    eigs = np.linalg.eigvals(closed_loop(q_mat, alpha, delta))
     assert np.abs(eigs + 1.0).min() < 1e-10
+
+
+@pytest.mark.parametrize("method", ["gd_eta", "gd_theta", "ngd"])
+def test_closed_loop_is_the_one_linearized_update(method):
+    # closed_loop at no perturbation is I - alpha Q, and the linearized step
+    # is x* + closed_loop(Q, alpha) (x - x*), both bit for bit; the start is
+    # close enough to q that a step at either stable rate stays interior
+    for seed in range(10):
+        for n in (2, 10):
+            q, r = _pair(seed, n)
+            p0 = SimplexPoint(0.999 * q.probs + 0.001 * r.probs)
+            if method == "gd_theta":
+                x_star, x0 = to_theta(q).theta, to_theta(p0).theta
+                q_mat = hess_psi(to_theta(q)).entries
+            else:
+                x_star, x0 = to_eta(q).eta, to_eta(p0).eta
+                q_mat = (hess_phi(to_eta(q)).entries if method == "gd_eta"
+                         else np.eye(n))
+            for rule in ("optimal", "standard"):
+                alpha = optimal_lr(q_mat, rule)
+                m = closed_loop(q_mat, alpha)
+                assert m.tobytes() == (np.eye(n) - alpha * q_mat).tobytes()
+                spec = DescentSpec(method, "linearized", q, p0, alpha)
+                start = to_theta(p0) if method == "gd_theta" else to_eta(p0)
+                out = step(spec, start)
+                got = out.theta if method == "gd_theta" else out.eta
+                assert got.tobytes() == (x_star + m @ (x0 - x_star)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["multiplicative", "additive"])
+def test_robustness_studies_use_closed_loop(monkeypatch, kind):
+    # both noise studies build each gd closed loop with closed_loop: the
+    # destabilizing perturbation in the multiplicative study, none in the
+    # additive one
+    q = random_simplex_point(make_rng(0), 2)
+    calls = []
+
+    def counted(q_mat, alpha, delta=0.0):
+        calls.append((q_mat, alpha, delta))
+        return closed_loop(q_mat, alpha, delta)
+
+    monkeypatch.setattr(lab, "closed_loop", counted)
+    summary = lab.robustness_experiment(kind, q, [0])
+    assert all(summary["assertions"].values())
+    curvatures = (hess_phi(to_eta(q)).entries, hess_psi(to_theta(q)).entries)
+    assert len(calls) == len(curvatures)
+    for (q_mat, alpha, delta), expect in zip(calls, curvatures):
+        assert q_mat.tobytes() == expect.tobytes()
+        assert alpha == optimal_lr(expect, "optimal")
+        if kind == "multiplicative":
+            assert np.array_equal(delta, destabilizing_delta(expect).entries)
+        else:
+            assert np.array_equal(delta, 0.0)
 
 
 def test_nonlinear_ngd_is_the_mixture_update_from_far_away():
@@ -119,10 +176,12 @@ def test_nonlinear_ngd_is_the_mixture_update_from_far_away():
     assert kl(q, p0) > 0.1
     one = run(DescentSpec("ngd", "nonlinear", q, p0, 1.0, max_iters=1))
     assert one.kl_values[1] < 1e-15
-    runs = [run(DescentSpec("ngd", variant, q, p0, 0.3, max_iters=40))
-            for variant in ("nonlinear", "linearized")]
-    assert np.abs(runs[0].states - runs[1].states).max() < 1e-14
-    assert np.abs(runs[0].kl_values - runs[1].kl_values).max() < 1e-14
+    nonlinear = run(DescentSpec("ngd", "nonlinear", q, p0, 0.3, max_iters=40))
+    states = _step_path(DescentSpec("ngd", "linearized", q, p0, 0.3,
+                                    max_iters=40), to_eta(p0))
+    kls = [kl_rows(q.probs, probs_rows("ngd", x[None, :]))[0] for x in states]
+    assert np.abs(nonlinear.states - states).max() < 1e-14
+    assert np.abs(nonlinear.kl_values - kls).max() < 1e-14
 
 
 def test_nonlinear_methods_descend(rng):
@@ -157,31 +216,11 @@ def test_linearized_ngd_is_affine_invariant():
     q, p0 = _pair(7, 2)
     alpha = 0.25
     spec = DescentSpec("ngd", "linearized", q, p0, alpha, max_iters=10)
-    traj = run(spec)
+    states = _step_path(spec, to_eta(p0))
     e0 = to_eta(p0).eta - to_eta(q).eta
-    for k, state in enumerate(traj.states):
+    for k, state in enumerate(states):
         expect = to_eta(q).eta + (1.0 - alpha) ** k * e0
         assert np.abs(state - expect).max() < 1e-12
-
-
-def test_multiplicative_noise_enters_update():
-    q, p0 = _pair(4, 2)   # a nearby pair, so the perturbed step stays interior
-    delta = 0.5 * np.eye(2)
-    spec = DescentSpec("gd_eta", "linearized", q, p0, 0.05,
-                       noise=NoiseModel("multiplicative", delta))
-    noisy = step(spec, to_eta(p0))
-    clean = step(DescentSpec("gd_eta", "linearized", q, p0, 0.05), to_eta(p0))
-    q_mat = hess_phi(to_eta(q)).entries
-    e = to_eta(p0).eta - to_eta(q).eta
-    expect = clean.eta - 0.05 * (delta @ (q_mat @ e))
-    assert np.abs(noisy.eta - expect).max() < 1e-12
-
-
-def test_additive_noise_statistics():
-    rng = make_rng(9)
-    draws = np.array([normal_vector(rng, 2) for _ in range(20000)])
-    assert np.abs(draws.mean(axis=0)).max() < 0.03
-    assert np.abs(draws.std(axis=0) - 1.0).max() < 0.03
 
 
 def test_run_raises_boundary_escape_on_huge_step():
@@ -217,15 +256,6 @@ def test_run_gap_of_an_underflowed_state_is_inf_without_warnings():
         traj = run(spec)
     assert len(traj.kl_values) == 6 and np.isfinite(traj.kl_values[0])
     assert np.isinf(traj.kl_values[1:]).all()
-
-
-def test_noisy_run_records_nan_instead_of_raising():
-    q, p0 = _pair(11, 2)
-    spec = DescentSpec("gd_eta", "linearized", q, p0, 3.0,
-                       noise=NoiseModel("additive", seed=3), max_iters=30)
-    traj = run(spec)
-    assert traj.kl_values.size == 31   # ran to completion
-    assert np.isnan(traj.kl_values).any()
 
 
 @pytest.mark.parametrize("drawn", [False, True])

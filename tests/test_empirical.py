@@ -178,5 +178,6 @@ def test_run_empirical_argument_validation():
         with pytest.raises(ValueError, match="decay_a must be finite"):
             run_empirical(spec, d, minibatch=10, decay_a=bad)
     lin = DescentSpec("ngd", "linearized", q_hat, q, 0.5)
-    with pytest.raises(ValueError):
-        run_empirical(lin, d, minibatch=10)
+    for minibatch in (None, 10):
+        with pytest.raises(ValueError, match="not the linearized variant"):
+            run_empirical(lin, d, minibatch=minibatch)

@@ -69,3 +69,10 @@ def test_simplex_batch_rows_equal_successive_points(n):
             assert row.tobytes() == point.probs.tobytes()
         # the generator ends in the same state
         assert rng_rows.random() == rng_loop.random()
+
+
+def test_additive_noise_statistics():
+    rng = make_rng(9)
+    draws = np.array([normal_vector(rng, 2) for _ in range(20000)])
+    assert np.abs(draws.mean(axis=0)).max() < 0.03
+    assert np.abs(draws.std(axis=0) - 1.0).max() < 0.03

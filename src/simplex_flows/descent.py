@@ -124,7 +124,8 @@ def closed_loop(q_mat: np.ndarray, alpha: float, delta=0.0) -> np.ndarray:
 def step(spec: DescentSpec, state):
     """One descent update of an EtaCoord (gd_eta, ngd) or ThetaCoord
     (gd_theta) state; returns the same coordinate type.  The linearized
-    variant steps x* + closed_loop(Q, alpha) (x - x*)."""
+    variant steps x* + closed_loop(Q, alpha) (x - x*).  A step that leaves
+    the domain raises check_rows' error for iteration 1."""
     x = state.eta if isinstance(state, EtaCoord) else state.theta
     if spec.variant == "nonlinear":
         x = step_rows(spec.method, x[None, :], spec.target.probs[:-1],
@@ -133,6 +134,7 @@ def step(spec: DescentSpec, state):
         x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
         x = x_star + closed_loop(_curvature_at_optimum(spec),
                                  spec.learning_rate) @ (x - x_star)
+    check_rows(spec.method, x[None], 1, spec.learning_rate)
     return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
 

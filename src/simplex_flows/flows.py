@@ -325,7 +325,8 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=DT,
                 hi = min(lo + per_block, m)
                 x = ((times[lo:hi] - t) / h)[:, None]
                 w = x ** _BASIS[0] * (1.0 - x) ** _BASIS[1] @ _W.T
-                states = y + np.dot(h * w, k2).reshape((hi - lo,) + shape)
+                states = np.dot(h * w, k2).reshape((hi - lo,) + shape)
+                states += y  # in place: one block-sized temporary fewer
                 # one KL call per block: kl_rows' gemv rounds by row count
                 kls = eng.kl_to_target(
                     states.reshape(-1, size)).reshape(hi - lo, -1)

@@ -50,7 +50,6 @@ BALANCE = 0.3  # draw_instance's targets have min q_i >= BALANCE / (n + 1)
 BOUNDS_POOL = 10000  # rate_bounds' Monte Carlo sample of the simplex
 # the ngd perturbation study: spectral norm of each Delta(k), and its steps
 PERTURB_NORM, PERTURB_STEPS = 0.9, 400
-PATH_STRIDE = 20  # the sandwich keeps every 20th state of each chart
 WITNESS_BLOCK = 256  # probes drawn and screened at once; bounds scan memory
 # Monte Carlo chain: steps per block scan, whose (n, L, L) power stack is
 # n * 32 KiB (L = 256 would make it 1 MiB at n = 2), and steps of noise drawn
@@ -350,12 +349,11 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     the fits pick up the drifting transient slope.)
 
     Each chart's samples stream from integrate_blocks and are reduced as
-    they come: the KLs go into a (K, B) array, the natural-flow check into
-    a running maximum, and every PATH_STRIDE-th state into the chart's
-    path, so memory is O(K B) rather than O(K B n).  The returned summary
-    carries _trajectories[chart] = (times, path, kls), with
-    path = states[::PATH_STRIDE] of the full (K, B, n) states, and
-    _grids[chart] = (t_end, dt) of the chart's integration.
+    they come: the KLs go into a (K, B) array, fitted by fit_rates when the
+    chart's stream ends and then dropped, and the natural-flow check into a
+    running maximum, so at most one chart's (K, B) KLs are held at a time,
+    never its (K, B, n) states.  The returned summary carries _target,
+    _inits and _grids[chart] = (t_end, dt) of each chart's integration.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -373,7 +371,7 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
     eta_q = q.probs[:-1]
     offset = inits[None, :, :-1] - eta_q
-    results, grids, natural_exact_err = {}, {}, 0.0
+    fits, grids, natural_exact_err = [], {}, 0.0
     for chart in ("eta", "natural_eta", "theta"):
         # the max-KL init sets the auto horizon
         t_chart, dt_chart = grids[chart] = (
@@ -381,17 +379,12 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
             else _horizon(kl0_max, rate_est[chart], dt))
         times = sample_times(t_chart, dt_chart, sample_every)
         kls = np.empty((times.size, n_inits))
-        path = np.empty((-(-times.size // PATH_STRIDE), n_inits, n))
         j = 0
         for block_times, states, block_kls in integrate_blocks(
                 "Lq", chart, q, inits, t_chart, dt=dt_chart,
                 sample_every=sample_every):
             m = j + block_times.size
             kls[j:m] = block_kls
-            first = -j % PATH_STRIDE
-            kept = states[first::PATH_STRIDE]
-            start = (j + first) // PATH_STRIDE
-            path[start:start + len(kept)] = kept
             if chart == "natural_eta":
                 dev = np.exp(-block_times)[:, None, None] * offset
                 dev += eta_q
@@ -399,11 +392,13 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
                 natural_exact_err = np.maximum(natural_exact_err,
                                                np.abs(dev, out=dev).max())
             j = m
-        results[chart] = (times, path, kls)
+        # rates and R^2 per init; then the chart's KLs and last block go,
+        # before the next chart allocates its own
+        fits.append(fit_rates(times, kls))
+        kls = states = block_kls = dev = None
     natural_exact_err = float(natural_exact_err)
 
     # rates and R^2 per chart (eta, natural_eta, theta) of the fitted inits
-    fits = [fit_rates(times, kls) for times, _, kls in results.values()]
     fitted = np.all([f[4] == "" for f in fits], axis=0)
     rates = np.array([f[0][fitted] for f in fits])
     r2 = np.array([f[2][fitted] for f in fits])
@@ -438,7 +433,6 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
            "r2_eta", "r2_ng", "r2_theta"], rows)
     summary["_target"] = q
     summary["_inits"] = inits
-    summary["_trajectories"] = results
     summary["_grids"] = grids
     return summary
 

@@ -19,6 +19,7 @@ from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, phi,
 from simplex_flows.descent import (DescentSpec, destabilizing_delta,
                                    optimal_lr, run, step)
 from simplex_flows.errors import WitnessNotFound
+from simplex_flows.flows import integrate_batch
 from simplex_flows.geometry import (hess_Lq_eta, hess_phi, hess_psi, kl)
 from simplex_flows.rng import make_rng, random_simplex_point
 from simplex_flows.spectral import cond, eigh, kappa_lower_bound
@@ -118,7 +119,14 @@ def test_criterion_03_rate_sandwich(sandwich_runs):
                         f"({total:.0f}s)", ok and total < 120.0)
 
 
-def _trajectory_probs(chart, path):
+def _trajectory_probs(summary, chart):
+    """Probability rows of every 20th state of the sandwich's chart flow,
+    integrated again from the summary's target, inits and grid."""
+    t_chart, dt_chart = summary["_grids"][chart]
+    _, states, _ = integrate_batch(
+        "Lq", chart, summary["_target"], summary["_inits"], t_chart,
+        dt=dt_chart, sample_every=summary["config"]["sample_every"])
+    path = states[::20]
     flat = path.reshape(-1, path.shape[-1])
     if chart == "theta":
         m = np.maximum(0.0, flat.max(axis=1))
@@ -138,12 +146,11 @@ def test_criterion_04_rates_respect_sublevel_bounds(sandwich_runs):
         p_worst = SimplexPoint(inits[int(np.argmax(levels))])
         rows = np.array(summary["rows"])
         r_eta, r_theta = rows[:, 1], rows[:, 3]
-        b_eta = lab.rate_bounds(
-            "Lq_eta", q, p_worst,
-            extra_probs=_trajectory_probs("eta", summary["_trajectories"]["eta"][1]))
+        b_eta = lab.rate_bounds("Lq_eta", q, p_worst,
+                                extra_probs=_trajectory_probs(summary, "eta"))
         b_theta = lab.rate_bounds(
             "Lq_theta", q, p_worst,
-            extra_probs=_trajectory_probs("theta", summary["_trajectories"]["theta"][1]))
+            extra_probs=_trajectory_probs(summary, "theta"))
         ok &= bool(r_eta.min() >= 0.95 * b_eta.m_lo)
         ok &= bool(r_theta.max() <= 1.05 * b_theta.l_hi)
     record_criterion(4, "fitted rates bracketed by sublevel-set curvature "

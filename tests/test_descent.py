@@ -8,9 +8,10 @@ from simplex_flows import coords, geometry, lab
 from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
                                   probs_rows, softmax_rows, state_rows,
                                   to_eta, to_theta)
-from simplex_flows.descent import (DescentSpec, check_rows, closed_loop,
-                                   descend_rows, destabilizing_delta,
-                                   optimal_lr, run, step, step_rows)
+from simplex_flows.descent import (VARIANTS, DescentSpec, check_rows,
+                                   closed_loop, descend_rows,
+                                   destabilizing_delta, optimal_lr, run, step,
+                                   step_rows)
 from simplex_flows.errors import BoundaryEscape, NonFinite
 from simplex_flows.geometry import hess_phi, hess_psi, kl, kl_rows
 from simplex_flows.rng import (make_rng, random_simplex_batch,
@@ -242,6 +243,25 @@ def test_run_failure_names_method_iteration_and_step_size():
             "reduce the step size")):
         check_rows("gd_theta", np.array([[np.inf, 0.0]]), 3, 0.25)
     check_rows("gd_theta", np.array([[700.0, -700.0]]), 3, 0.25)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_leaving_the_simplex_raises_boundary_escape(variant):
+    q, p0 = _pair(10, 2)
+    spec = DescentSpec("gd_eta", variant, q, p0, 5.0)
+    with pytest.raises(BoundaryEscape, match=re.escape(
+            "gd_eta iterate left the simplex at iteration 1 (step size 5)")):
+        step(spec, to_eta(p0))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_overflowing_theta_raises_non_finite(variant):
+    q = SimplexPoint(np.array([0.1, 0.8, 0.1]))
+    spec = DescentSpec("gd_theta", variant, q, q, 1e308)
+    message = "gd_theta iterate overflowed at iteration 1 (step size 1e+308)"
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match=re.escape(message)):
+        step(spec, ThetaCoord(np.array([1.5e308, 1.5e308])))
 
 
 def test_run_gap_of_an_underflowed_state_is_inf_without_warnings():

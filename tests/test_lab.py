@@ -18,7 +18,7 @@ from simplex_flows.empirical import Dataset, empirical_target, run_empirical
 from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
                                   InsufficientDecay, NonFinite,
                                   WitnessNotFound)
-from simplex_flows.flows import Trajectory, integrate_batch
+from simplex_flows.flows import Trajectory, integrate_batch, sample_times
 from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
                                     loss_Lstar_theta)
 from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
@@ -751,8 +751,8 @@ def test_sandwich_rerun_is_byte_identical(tmp_path):
 
 
 def _sandwich_from_full_states(summary):
-    """The sandwich's KLs, paths, natural-flow error and rows as they were
-    computed from the full (K, B, n) states of integrate_batch."""
+    """The sandwich's natural-flow error and rows as they were computed
+    from the full (K, B, n) states of integrate_batch."""
     q, inits = summary["_target"], summary["_inits"]
     results = {}
     for chart, (t_chart, dt_chart) in summary["_grids"].items():
@@ -772,32 +772,30 @@ def _sandwich_from_full_states(summary):
         if all(fits[c][4][b] == "" for c in ("eta", "natural_eta", "theta")):
             rows.append([b] + [float(fits[c][i][b]) for i in (0, 2)
                                for c in ("eta", "natural_eta", "theta")])
-    return results, float(np.abs(dev).max()), rows
+    return float(np.abs(dev).max()), rows
 
 
 @pytest.mark.parametrize("n, seed, n_inits", [(2, 7, 100), (10, 3, 30)])
 def test_streamed_sandwich_equals_full_states(n, seed, n_inits):
     summary = lab.sandwich_experiment(n, n_inits, seed)
-    results, natural_err, rows = _sandwich_from_full_states(summary)
+    natural_err, rows = _sandwich_from_full_states(summary)
     assert summary["natural_exact_max_err"] == natural_err
     assert summary["rows"] == rows
-    for chart, (times, states, kls) in results.items():
-        got_times, path, got_kls = summary["_trajectories"][chart]
-        assert np.array_equal(got_times, times)
-        assert np.array_equal(got_kls, kls)
-        assert np.array_equal(path, states[::lab.PATH_STRIDE])
 
 
 def test_sandwich_holds_no_full_state_array():
+    # one chart's (K, B) KLs at a time, and no (K, B, n) states: the peak
+    # stays within a small multiple of the theta chart's KLs
     tracemalloc.start()
     try:
         summary = lab.sandwich_experiment(10, 100, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    times = summary["_trajectories"]["theta"][0]
-    theta_states_bytes = times.size * 100 * 10 * 8
-    assert peak < theta_states_bytes / 2
+    times = sample_times(*summary["_grids"]["theta"],
+                         summary["config"]["sample_every"])
+    theta_kls_bytes = times.size * 100 * 8
+    assert peak < 2.5 * theta_kls_bytes
 
 
 def test_additive_robustness_decomposes_each_matrix_once(monkeypatch):

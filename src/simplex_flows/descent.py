@@ -17,10 +17,11 @@ eta_q at step size alpha:
 Each method is an Euler step x <- x + alpha field along the L_q vector
 field of its chart (eta, theta and natural_eta): the geometry.field that
 the flows integrate, taken for (B, n) state rows by step_rows.  The one
-descent loop is the generator descend_rows: run, the minibatch descent of
-the empirical module and the learning-rate sweeps of the lab module drain
-it (a run is a batch of one row, a sweep steps all its rates in one batch
-with a column of step sizes).
+descent loop is the generator descend_rows: run (and through it the
+empirical module's run_empirical) and the learning-rate sweeps of the lab
+module drain it (a run is a batch of one row, a sweep steps all its rates
+in one batch with a column of step sizes, and in sgd mode draws each row's
+minibatch target every iteration).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
@@ -174,31 +175,25 @@ def descend_rows(method: str, x: np.ndarray, lr, q: np.ndarray,
             return
 
 
-def descend(spec: DescentSpec, q: np.ndarray, tol: Optional[float],
-            decay_a: Optional[float] = None, draw: Optional[Callable] = None):
-    """States and gaps of descend_rows from spec.init with step size
-    spec.learning_rate, its initial state checked too, for at most
-    spec.max_iters iterations."""
+def run(spec: DescentSpec, tol: Optional[float] = None) -> Trajectory:
+    """Iterate the nonlinear update from spec.init, recording the state and
+    KL to the target: descend_rows for one row with step size
+    spec.learning_rate, at most spec.max_iters iterations.
+
+    Stops early once KL drops to tol (if given).  A mixture state that
+    leaves the simplex raises BoundaryEscape; an overflowing exponential
+    state raises NonFinite (the initial state is checked too).  A
+    linearized spec raises ValueError: its update is stepped with step.
+    """
     if spec.variant != "nonlinear":
         raise ValueError("descent loops run the nonlinear update, not the "
                          f"{spec.variant} variant")
     x = state_rows(spec.method, spec.init.probs[None, :])
     check_rows(spec.method, x, 0, spec.learning_rate)
     path = [(x[0], gaps[0]) for _, _, x, gaps in descend_rows(
-        spec.method, x, [spec.learning_rate], q, tol, spec.max_iters,
-        decay_a, draw)]
-    return tuple(np.array(v) for v in zip(*path))
-
-
-def run(spec: DescentSpec, tol: Optional[float] = None) -> Trajectory:
-    """Iterate the nonlinear update, recording the state and KL to the target.
-
-    Stops early once KL drops to tol (if given).  A mixture state that
-    leaves the simplex raises BoundaryEscape; an overflowing exponential
-    state raises NonFinite.  A linearized spec raises ValueError: its update
-    is stepped with step.
-    """
-    states, kls = descend(spec, spec.target.probs, tol)
+        spec.method, x, [spec.learning_rate], spec.target.probs, tol,
+        spec.max_iters)]
+    states, kls = (np.array(v) for v in zip(*path))
     return Trajectory(np.arange(len(states), dtype=float), states, kls)
 
 

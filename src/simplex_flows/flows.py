@@ -95,7 +95,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     kl_values: np.ndarray
-    loss_gaps: Optional[np.ndarray] = None
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -111,12 +110,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
         object.__setattr__(self, "kl_values", k)
-        if self.loss_gaps is not None:
-            g = np.array(self.loss_gaps, dtype=float)
-            if g.shape != t.shape:
-                raise ValueError("loss_gaps length mismatch")
-            g.setflags(write=False)
-            object.__setattr__(self, "loss_gaps", g)
 
 
 # ---------------------------------------------------------------------------

@@ -931,10 +931,11 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
     above identity in the mixture chart and below identity in the
     exponential chart, for small |s| (up to SECTION_S) the eta-sections
     dominate the reference and the theta-sections stay below it, within a
-    relative SECTION_TOL.  Grid points that push
-    eta out of the simplex are truncated (reported as NaN).  With no
-    direction, or no grid point with 0 < |s| <= SECTION_S, nothing would
-    be checked: ValueError.
+    relative SECTION_TOL.  Grid points that push eta out of the simplex
+    are truncated (reported as NaN); a theta point whose softmax underflows
+    raises its ValueError naming the direction and s.  With no direction,
+    or no grid point with 0 < |s| <= SECTION_S, nothing would be checked:
+    ValueError.
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
     if n_directions < 1:
@@ -962,7 +963,11 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
                 sec_eta = kl(q, SimplexPoint(np.append(eta, 1.0 - eta.sum())))
             else:
                 sec_eta = float("nan")
-            sec_theta = kl(q, simplex_from_theta(ThetaCoord(theta_q + s * v)))
+            try:
+                sec_theta = kl(q, simplex_from_theta(
+                    ThetaCoord(theta_q + s * v)))
+            except ValueError as exc:
+                raise ValueError(f"direction {i}, s = {s:.9g}: {exc}") from exc
             if 0 < abs(s) <= SECTION_S:
                 if np.isfinite(sec_eta):
                     ok_eta &= sec_eta >= ref * (1.0 - SECTION_TOL)

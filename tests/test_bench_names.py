@@ -47,6 +47,5 @@ def test_iteration_hooks_read_times():
     spec = DescentSpec("ngd", "nonlinear", empirical_target(d),
                        SimplexPoint(np.array([0.2, 0.3, 0.5])), 0.5,
                        max_iters=4)
-    for traj in (run(spec), run_empirical(spec, d),
-                 run_empirical(spec, d, minibatch=10, seed=1)):
+    for traj in (run(spec), run_empirical(spec, d)):
         assert len(traj.times) == 5

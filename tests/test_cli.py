@@ -260,11 +260,13 @@ def test_nonconvexity_underflow_names_probe_and_point(capsys):
 
 
 def test_sections_underflow_is_a_usage_error(capsys):
-    # at |s| up to 1000 a theta section's softmax underflows to a zero
+    # at |s| up to 1000 a theta section's softmax underflows to a zero; the
+    # error names the first such point
     code, out, err = run_cli(capsys, "sections", "--n", "2", "--s-max", "1000",
                              "--s-count", "40001")
     assert (code, out) == (2, "")
-    assert err == "error: probabilities must be strictly positive (min entry 0)\n"
+    assert err == ("error: direction 0, s = -1000: probabilities must be "
+                   "strictly positive (min entry 0)\n")
 
 
 def test_sections_output_files(tmp_path, capsys):

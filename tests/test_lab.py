@@ -14,7 +14,7 @@ from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
                                    step_rows, valid_rows)
-from simplex_flows.empirical import Dataset, empirical_target, run_empirical
+from simplex_flows.empirical import Dataset, empirical_target
 from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
                                   InsufficientDecay, NonFinite,
                                   WitnessNotFound)
@@ -567,15 +567,21 @@ def _sweep_instance(seed, n=4, n_samples=5000, n_inits=37):
     return counts, random_simplex_batch(rng, n, n_inits)
 
 
-@pytest.mark.parametrize("mode", ["full_batch", "sgd"])
+@pytest.mark.parametrize("mode,tol,minibatch,instances", [
+    pytest.param("full_batch", SWEEP_TEST_TOL["full_batch"], 200, (3, 5, 7),
+                 id="full_batch"),
+    pytest.param("sgd", SWEEP_TEST_TOL["sgd"], 200, (3, 5, 7), id="sgd"),
+    # at n = 4 every minibatch of 2 misses an outcome
+    pytest.param("sgd", 0.1, 2, (3,), id="sgd-minibatch-2")])
 @pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
-def test_stacked_sweep_kernel_equals_one_rate_loop(method, mode):
+def test_stacked_sweep_kernel_equals_one_rate_loop(method, mode, tol,
+                                                   minibatch, instances):
     # times, not gaps: BLAS may block the KL matrix-vector product
     # differently for another number of rows, moving a gap in its last bit;
     # worst times, since a rate stops stepping once a row leaves the domain
     grid = SWEEP_TEST_GRIDS[method]
-    args = (SWEEP_TEST_TOL[mode], 60, 200, 30.0)
-    for instance in (3, 5, 7):
+    args = (tol, 60, minibatch, 30.0)
+    for instance in instances:
         counts, inits = _sweep_instance(instance)
         ref = np.array([_one_rate_times(method, mode, counts, inits, lr,
                                         *args, sgd_seed=[instance, 91, idx])
@@ -603,33 +609,33 @@ def _first_hit(gaps, tolerance, max_iters):
 @pytest.mark.parametrize("mode", ["full_batch", "sgd"])
 @pytest.mark.parametrize("method", sorted(SWEEP_TEST_GRIDS))
 def test_one_row_sweep_time_is_the_first_hit_of_a_single_run(method, mode):
-    # a one-row sweep follows run (full batch) or the minibatch run of
-    # run_empirical seeded with the rate's stream [seed, 91, idx] (sgd); a
-    # run that leaves the domain raises where the sweep saturates the rate
+    # a one-row sweep follows run (full batch), where a run that leaves the
+    # domain raises where the sweep saturates the rate, or the one-rate loop
+    # with one init row, drawing from the rate's stream [seed, 91, idx] (sgd)
     grid = SWEEP_TEST_GRIDS[method]
     tol, max_iters, minibatch, decay_a = SWEEP_TEST_TOL[mode], 60, 200, 30.0
     for seed in range(20):
         counts, inits = _sweep_instance(seed, n_inits=3)
-        d = Dataset(counts)
-        q_hat = empirical_target(d)
+        q_hat = empirical_target(Dataset(counts))
         for i in range(3):
             idx = (seed + 2 * i) % len(grid)
             lr = grid[idx]
             time = lab._batch_convergence_times(
                 method, mode, counts, inits[i:i + 1], [lr], [idx], tol,
                 max_iters, minibatch, decay_a, seed=seed)
-            spec = DescentSpec(method, "nonlinear", q_hat,
-                               SimplexPoint(inits[i]), lr, max_iters=max_iters)
-            try:
-                if mode == "sgd":
-                    traj = run_empirical(spec, d, minibatch=minibatch,
-                                         decay_a=decay_a,
-                                         seed=[seed, 91, idx], tol=tol)
-                else:
-                    traj = run(spec, tol)
-                want = _first_hit(traj.kl_values, tol, max_iters)
-            except (BoundaryEscape, NonFinite):
-                want = max_iters
+            if mode == "sgd":
+                want = int(_one_rate_times(
+                    method, mode, counts, inits[i:i + 1], lr, tol, max_iters,
+                    minibatch, decay_a, sgd_seed=[seed, 91, idx])[0])
+            else:
+                spec = DescentSpec(method, "nonlinear", q_hat,
+                                   SimplexPoint(inits[i]), lr,
+                                   max_iters=max_iters)
+                try:
+                    want = _first_hit(run(spec, tol).kl_values, tol,
+                                      max_iters)
+                except (BoundaryEscape, NonFinite):
+                    want = max_iters
             assert time.tolist() == [want], (seed, i, lr)
 
 

@@ -1,0 +1,47 @@
+"""Every public name the package exports has a caller outside the tests.
+
+A name counts as used when it appears as a whole word in the library
+itself (other than on its own def/class line and in __init__.py), in the
+benchmark scripts, in the README or in the acceptance tests.  A name that
+only unit tests reach is surface to remove, not to export.
+"""
+
+import ast
+import glob
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "simplex_flows")
+
+
+def _exports():
+    with open(os.path.join(PACKAGE, "__init__.py")) as f:
+        tree = ast.parse(f.read())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if not alias.name.startswith("_")]
+
+
+def _read(path):
+    with open(path) as f:
+        return f.read()
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    library = [_read(p) for p in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+               if os.path.basename(p) != "__init__.py"]
+    others = [_read(p) for p in sorted(glob.glob(os.path.join(ROOT, "bench",
+                                                              "*.py")))]
+    others += [_read(os.path.join(ROOT, "README.md")),
+               _read(os.path.join(ROOT, "tests", "test_acceptance.py"))]
+    exports = _exports()
+    assert len(exports) == len(set(exports)) > 0
+    unused = []
+    for name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b.*$", re.M)
+        if not any(word.search(own.sub("", text)) for text in library) and \
+                not any(word.search(text) for text in others):
+            unused.append(name)
+    assert unused == []

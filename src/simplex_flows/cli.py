@@ -21,7 +21,7 @@ from .descent import DescentSpec, step
 from .errors import SimplexFlowsError, WitnessNotFound
 from .flows import (DT, SAMPLE_EVERY, FlowSpec, Trajectory, integrate,
                     natural_flow_exact)
-from .geometry import hess_phi, hess_psi, kl
+from .geometry import curvature, kl
 from .lab import fmt9
 from .rng import make_rng, random_simplex_point
 from .spectral import eigh, solve_lyapunov
@@ -264,8 +264,8 @@ def run_selftest() -> dict:
     checks["three_way_divergence"] = bool(
         abs(bregman_psi(to_theta(p), to_theta(q)) - d_kl) < 1e-12
         and abs(bregman_phi(to_eta(q), to_eta(p)) - d_kl) < 1e-12)
-    h1 = hess_phi(to_eta(p)).entries
-    h2 = hess_psi(to_theta(p)).entries
+    h1 = curvature("eta", p)
+    h2 = curvature("theta", p)
     checks["hessians_mutually_inverse"] = bool(
         np.abs(h1 @ h2 - np.eye(p.n)).max() < 1e-10)
     dec = eigh(h1)

@@ -24,7 +24,8 @@ in one batch with a column of step sizes, and in sgd mode draws each row's
 minibatch target every iteration).
 
 The linearized variant freezes the curvature at the optimum, so the error
-e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there.
+e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there,
+geometry.curvature of the method's chart.
 closed_loop is that update's matrix, I - alpha (I + Delta) Q with an
 optional multiplicative gradient perturbation Delta: step takes one
 linearized step with it, and the robustness study of the lab module runs
@@ -37,12 +38,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
-                     state_rows, to_eta, to_theta, valid_rows)
+                     state_rows, valid_rows)
 from .errors import BoundaryEscape, NonFinite
 from .flows import Trajectory
-from .geometry import (SymMatrix, field, hess_phi, hess_psi, kl_rows,
-                       lq_theta_pull)
-from .spectral import EigenDecomposition, eigh
+from .geometry import SymMatrix, curvature, field, kl_rows, lq_theta_pull
+from .spectral import cond, positive_spectrum
 
 # the chart each method iterates, along the L_q field of that chart
 METHOD_CHARTS = {"gd_eta": "eta", "gd_theta": "theta", "ngd": "natural_eta"}
@@ -105,14 +105,6 @@ def step_rows(method: str, x: np.ndarray, target_eta: np.ndarray,
     return x + alpha * field("Lq", METHOD_CHARTS[method], x, target_eta)
 
 
-def _curvature_at_optimum(spec: DescentSpec) -> np.ndarray:
-    if spec.method == "gd_eta":
-        return hess_phi(to_eta(spec.target)).entries
-    if spec.method == "gd_theta":
-        return hess_psi(to_theta(spec.target)).entries
-    return np.eye(spec.target.n)
-
-
 def closed_loop(q_mat: np.ndarray, alpha: float, delta=0.0) -> np.ndarray:
     """The linearized update e <- (I - alpha (I + delta) Q) e of the error
     e = x - x* about the optimum, as its matrix: Q the curvature there,
@@ -133,8 +125,8 @@ def step(spec: DescentSpec, state):
                       spec.learning_rate)[0]
     else:
         x_star = state_rows(spec.method, spec.target.probs[None, :])[0]
-        x = x_star + closed_loop(_curvature_at_optimum(spec),
-                                 spec.learning_rate) @ (x - x_star)
+        q_mat = curvature(METHOD_CHARTS[spec.method], spec.target)
+        x = x_star + closed_loop(q_mat, spec.learning_rate) @ (x - x_star)
     check_rows(spec.method, x[None], 1, spec.learning_rate)
     return ThetaCoord(x) if spec.method == "gd_theta" else EtaCoord(x)
 
@@ -208,10 +200,7 @@ def optimal_lr(q_matrix, rule: str = "optimal") -> float:
     "optimal":  2/(lambda_min + lambda_max), contraction (1 - 2/(kappa+1))^2.
     Q may also be given as its EigenDecomposition.
     """
-    dec = q_matrix if isinstance(q_matrix, EigenDecomposition) else eigh(q_matrix)
-    vals = dec.values
-    if vals[0] <= 0:
-        raise ValueError("curvature matrix must be positive definite")
+    vals = positive_spectrum(q_matrix).values
     if rule == "standard":
         return float(1.0 / vals[-1])
     if rule == "optimal":
@@ -221,7 +210,7 @@ def optimal_lr(q_matrix, rule: str = "optimal") -> float:
 
 def destabilizing_delta(q_matrix) -> SymMatrix:
     """Smallest-norm multiplicative perturbation that breaks the optimally
-    tuned iteration.
+    tuned iteration on Q, given as a matrix or as its EigenDecomposition.
 
     Delta = u_max u_max^T / kappa inflates the largest curvature direction
     just enough that I - alpha (I + Delta) Q, alpha = 2/(l_min + l_max),
@@ -229,10 +218,7 @@ def destabilizing_delta(q_matrix) -> SymMatrix:
     forever instead of contracting.  Its norm 1/kappa matches the classical
     stability margin of the optimal step size.
     """
-    dec = eigh(q_matrix)
-    if dec.values[0] <= 0:
-        raise ValueError("curvature matrix must be positive definite")
-    kappa = dec.values[-1] / dec.values[0]
+    dec = positive_spectrum(q_matrix)
     u = dec.vectors[:, -1]
-    return SymMatrix(np.outer(u, u) / kappa)
+    return SymMatrix(np.outer(u, u) / cond(dec))
 

@@ -9,7 +9,8 @@ Two loss families appear throughout:
     L*_p(q)   = D(q||p)   minimized over q, target p fixed (convex in eta only)
 
 The Hessians of the potentials are mutually inverse at matching points,
-hess_psi(theta) = hess_phi(eta)^-1 (lab's theta rate bounds rely on it):
+hess_psi(theta) = hess_phi(eta)^-1 (lab's theta rate bounds rely on it);
+at q they are curvature(chart, q), the Hessian of L_q at its optimum q:
 
     hess_phi(eta) = diag(1/eta_i) + (1/(1 - sum eta)) * ones
     hess_psi(theta) = diag(eta) - eta eta^T,   eta = grad psi(theta)
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta, phi,
-                     psi, simplex_from_theta, softmax_rows, theta_from_eta)
+                     psi, simplex_from_theta, softmax_rows, theta_from_eta,
+                     to_eta, to_theta)
 
 SYM_TOL = 1e-12
 
@@ -243,6 +245,18 @@ def hess_Lq_eta(ep: EtaCoord, eq: EtaCoord) -> SymMatrix:
     return SymMatrix(h)
 
 
+def curvature(chart: str, q: SimplexPoint) -> np.ndarray:
+    """The Hessian of L_q at its optimum q in a base chart, the Fisher
+    information: hess_phi in eta, hess_psi in theta, I in natural charts."""
+    if chart == "eta":
+        return hess_phi(to_eta(q)).entries
+    if chart == "theta":
+        return hess_psi(to_theta(q)).entries
+    if chart in ("natural_eta", "natural_theta"):
+        return np.eye(q.n)
+    raise ValueError(f"unknown chart {chart!r}")
+
+
 def loss_Lstar_theta(t: ThetaCoord, p: SimplexPoint) -> float:
     """L*_p as a function of theta: D(q(theta) || p).  Not convex in theta."""
     return _loss_theta("Lstar", t, p)
@@ -323,6 +337,6 @@ def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
 
     if not c > 0:
         raise ValueError("c must be positive")
-    d = sym_sqrt(hess_phi(eta_from_theta(tq))).entries
+    d = sym_sqrt(curvature("eta", simplex_from_theta(tq))).entries
     return AffineChart(d / np.sqrt(c), np.zeros(tq.n))
 

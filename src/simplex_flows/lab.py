@@ -18,16 +18,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, simplex_from_theta,
-                     softmax_rows, to_eta, to_theta)
-from .descent import (METHODS, DescentSpec, closed_loop, descend_rows,
-                      destabilizing_delta, optimal_lr, state_rows)
+                     softmax_rows, to_theta)
+from .descent import (METHOD_CHARTS, METHODS, DescentSpec, closed_loop,
+                      descend_rows, destabilizing_delta, optimal_lr, state_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
 from .flows import (DT, SAMPLE_EVERY, check_settings, integrate_batch,
                     integrate_blocks, sample_times)
-from .geometry import (hess_phi, hess_psi, kl, kl_rows, loss_rows,
-                       make_identity_chart)
+from .geometry import curvature, kl, kl_rows, loss_rows, make_identity_chart
 from .rng import (DRAW_BLOCK, first_simplex_point, make_rng, normal_matrix,
                   normal_rows, normal_vector, random_simplex_batch,
                   random_simplex_point)
@@ -365,9 +364,10 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     inits = np.array([draw_near(q, SimplexPoint(row), SANDWICH_KL_CAP).probs
                       for row in random_simplex_batch(rng, n, n_inits)])
 
-    vals = eigh(hess_phi(to_eta(q))).values
+    vals = eigh(curvature("eta", q)).values
     kl0_max = max(kl(q, SimplexPoint(row)) for row in inits)
-    # asymptotic decay rates: 2 lambda_min of the curvature in each chart
+    # asymptotic decay rates: 2 lambda_min of the curvature in each chart,
+    # theta's as 2 / eta's lambda_max: the theta fits depend on its last bit
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
     eta_q = q.probs[:-1]
     offset = inits[None, :, :-1] - eta_q
@@ -452,13 +452,12 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
             raise ValueError(f"every c must be finite and positive, got {c}")
     check_settings(dt, SAMPLE_EVERY)
     p_near = draw_near(q, p0)
-    tq = to_theta(q)
-    hq_eta = hess_phi(to_eta(q)).entries
-    hq_theta = hess_psi(tq).entries
+    hq_eta = curvature("eta", q)
+    hq_theta = curvature("theta", q)
 
     rows, ok_rates, hess_dev = [], True, 0.0
     for c in c_values:
-        chart = make_identity_chart(tq, c)
+        chart = make_identity_chart(to_theta(q), c)
         a = chart.a_matrix
         dev_eta = np.abs(chart.a_inv @ hq_eta @ chart.a_inv.T
                          - c * np.eye(q.n)).max()
@@ -687,20 +686,17 @@ def robustness_experiment(kind: str, q: SimplexPoint, seeds: Sequence[int],
         raise ValueError(f"unknown kind {kind!r}")
     if not len(seeds):
         raise ValueError("seeds is empty: no noise draw to check")
-    n = q.n
-    q_eta = hess_phi(to_eta(q)).entries
-    q_theta = hess_psi(to_theta(q)).entries
     if kind == "multiplicative":
-        summary = _robustness_multiplicative(q, q_eta, q_theta, seeds)
+        summary = _robustness_multiplicative(q, seeds)
     else:
-        summary = _robustness_additive(q, q_eta, q_theta, seeds)
+        summary = _robustness_additive(q, seeds)
     summary["target"] = q.probs.tolist()
-    summary["config"] = {"kind": kind, "n": n, "seeds": list(map(int, seeds))}
+    summary["config"] = {"kind": kind, "n": q.n, "seeds": list(map(int, seeds))}
     _emit(out_dir, f"robustness_{kind}", summary)
     return summary
 
 
-def _robustness_multiplicative(q, q_eta, q_theta, seeds):
+def _robustness_multiplicative(q, seeds):
     """ngd at step 1 under random perturbations of spectral norm
     PERTURB_NORM.  Per seed the noise is drawn once: the start e, then all
     PERTURB_STEPS matrices in one `normal_rows` call (the same stream as
@@ -724,9 +720,11 @@ def _robustness_multiplicative(q, q_eta, q_theta, seeds):
     ngd_ok = all(fn < 1e-8 for fn in final_norms)
 
     gd_results = {}
-    for name, mat in (("gd_eta", q_eta), ("gd_theta", q_theta)):
-        delta = destabilizing_delta(mat).entries
-        alpha = optimal_lr(mat, "optimal")
+    for name in ("gd_eta", "gd_theta"):
+        mat = curvature(METHOD_CHARTS[name], q)
+        dec = eigh(mat)
+        delta = destabilizing_delta(dec).entries
+        alpha = optimal_lr(dec, "optimal")
         m_mat = closed_loop(mat, alpha, delta)
         eigvals = np.linalg.eigvals(m_mat)
         dist = float(np.abs(eigvals + 1.0).min())
@@ -807,12 +805,13 @@ def _mc_covariance(mu, vectors, seed, burn_in=1000, steps=100000):
     return 0.5 * (cov + cov.T)
 
 
-def _robustness_additive(q, q_eta, q_theta, seeds):
+def _robustness_additive(q, seeds):
     n = q.n
     seed0 = int(seeds[0])
     report = {}
     ok_resid = ok_analytic = ok_mc = True
-    for sub, (name, mat) in enumerate((("gd_eta", q_eta), ("gd_theta", q_theta))):
+    for sub, name in enumerate(("gd_eta", "gd_theta")):
+        mat = curvature(METHOD_CHARTS[name], q)
         dec = eigh(mat)
         alpha = optimal_lr(dec, "optimal")
         kappa = cond(dec)

@@ -137,12 +137,20 @@ def rank_one_extremes(d, c):
     return lmin, lmax
 
 
+def positive_spectrum(m) -> EigenDecomposition:
+    """The EigenDecomposition of a matrix given as itself or as that
+    decomposition; ValueError unless the matrix is positive definite."""
+    dec = m if isinstance(m, EigenDecomposition) else eigh(m)
+    if dec.values[0] <= 0:
+        raise ValueError("matrix is not positive definite "
+                         f"(min eig {dec.values[0]:g})")
+    return dec
+
+
 def cond(m) -> float:
     """Spectral condition number of a symmetric positive definite matrix,
     which may also be given as its EigenDecomposition."""
-    vals = (m if isinstance(m, EigenDecomposition) else eigh(m)).values
-    if vals[0] <= 0:
-        raise ValueError(f"matrix is not positive definite (min eig {vals[0]:g})")
+    vals = positive_spectrum(m).values
     return float(vals[-1] / vals[0])
 
 
@@ -158,10 +166,8 @@ def kappa_lower_bound(eq: EtaCoord) -> float:
 
 
 def sym_sqrt(m) -> SymMatrix:
-    """Symmetric square root of a symmetric positive definite matrix."""
-    dec = eigh(m)
-    if dec.values[0] <= 0:
-        raise ValueError("matrix must be positive definite")
+    """Symmetric square root of an SPD matrix or of its EigenDecomposition."""
+    dec = positive_spectrum(m)
     root = dec.vectors @ np.diag(np.sqrt(dec.values)) @ dec.vectors.T
     return SymMatrix(0.5 * (root + root.T))
 
@@ -171,11 +177,11 @@ def solve_lyapunov(q_matrix, alpha: float) -> SymMatrix:
 
     With M = I - alpha Q symmetric, the fixed point of P -> M P M + I is
     U diag(1/(1 - mu_i^2)) U^T where mu_i are M's eigenvalues; it exists only
-    if the spectral radius of M is below 1.  q_matrix may also be given as
-    its EigenDecomposition, so a caller that needs Q's eigenbasis anyway
-    decomposes it once.
+    if the spectral radius of M is below 1.  Q must be positive definite;
+    q_matrix may also be given as its EigenDecomposition, so a caller that
+    needs Q's eigenbasis anyway decomposes it once.
     """
-    dec = q_matrix if isinstance(q_matrix, EigenDecomposition) else eigh(q_matrix)
+    dec = positive_spectrum(q_matrix)
     mu = 1.0 - alpha * dec.values
     rho = float(np.abs(mu).max())
     if rho >= 1.0:

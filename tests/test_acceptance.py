@@ -16,8 +16,7 @@ from simplex_flows import lab
 from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, phi,
                                   psi, simplex_from_eta, simplex_from_theta,
                                   to_eta, to_theta)
-from simplex_flows.descent import (DescentSpec, destabilizing_delta,
-                                   optimal_lr, run, step)
+from simplex_flows.descent import DescentSpec, optimal_lr, step
 from simplex_flows.errors import WitnessNotFound
 from simplex_flows.flows import integrate_batch
 from simplex_flows.geometry import (hess_Lq_eta, hess_phi, hess_psi, kl)

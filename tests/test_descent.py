@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from simplex_flows import coords, geometry, lab
-from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
-                                  probs_rows, softmax_rows, state_rows,
-                                  to_eta, to_theta)
+from simplex_flows.coords import (SimplexPoint, ThetaCoord, probs_rows,
+                                  softmax_rows, state_rows, to_eta, to_theta)
 from simplex_flows.descent import (VARIANTS, DescentSpec, check_rows,
                                    closed_loop, descend_rows,
                                    destabilizing_delta, optimal_lr, run, step,
@@ -16,7 +15,7 @@ from simplex_flows.errors import BoundaryEscape, NonFinite
 from simplex_flows.geometry import hess_phi, hess_psi, kl, kl_rows
 from simplex_flows.rng import (make_rng, random_simplex_batch,
                                random_simplex_point)
-from simplex_flows.spectral import cond, eigh
+from simplex_flows.spectral import eigh
 
 
 def _pair(seed, n):

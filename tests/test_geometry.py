@@ -6,7 +6,7 @@ from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord, phi,
                                   psi, simplex_from_eta, simplex_from_theta,
                                   to_eta, to_theta)
 from simplex_flows.geometry import (AffineChart, SymMatrix, bregman_phi,
-                                    bregman_psi, field, grad_Lq_eta,
+                                    bregman_psi, curvature, field, grad_Lq_eta,
                                     grad_Lq_theta, grad_Lstar_eta,
                                     grad_Lstar_theta, hess_Lq_eta, hess_phi,
                                     hess_psi, kl, loss_Lq_theta,
@@ -75,6 +75,31 @@ def test_hessians_are_mutually_inverse(rng):
             p = random_simplex_point(rng, n)
             prod = hess_phi(to_eta(p)).entries @ hess_psi(to_theta(p)).entries
             assert np.abs(prod - np.eye(n)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_curvature_is_the_hessian_of_lq_at_its_optimum(n):
+    for seed in range(5):
+        q = random_simplex_point(make_rng(seed), n)
+        eq, tq = to_eta(q), to_theta(q)
+        h_eta, h_theta = curvature("eta", q), curvature("theta", q)
+        # the arithmetic of the potentials' Hessians, bit for bit
+        assert h_eta.tobytes() == hess_phi(eq).entries.tobytes()
+        assert h_theta.tobytes() == hess_psi(tq).entries.tobytes()
+        h_lq = hess_Lq_eta(eq, eq).entries
+        assert np.abs(h_eta - h_lq).max() <= 1e-12 * np.abs(h_lq).max()
+        fd = fd_hessian(lambda x: loss_Lq_theta(ThetaCoord(x), q), tq.theta)
+        assert np.abs(h_theta - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+        # the natural fields at their optimum: Jacobian -I
+        natural = (("natural_eta", eq.eta), ("natural_theta", tq.theta))
+        for chart, x_q in natural:
+            assert np.array_equal(curvature(chart, q), np.eye(n))
+            jac = np.array([fd_gradient(
+                lambda x: field("Lq", chart, x[None], eq.eta)[0, i], x_q)
+                for i in range(n)])
+            assert np.abs(jac + np.eye(n)).max() <= 1e-7
+    with pytest.raises(ValueError, match="unknown chart"):
+        curvature("affine_eta", q)
 
 
 def test_gradients_match_finite_differences(rng):

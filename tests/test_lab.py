@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import threading
 import tracemalloc
@@ -804,7 +803,11 @@ def test_sandwich_holds_no_full_state_array():
     assert peak < 2.5 * theta_kls_bytes
 
 
-def test_additive_robustness_decomposes_each_matrix_once(monkeypatch):
+# per gd method: its curvature Q, and in the additive study the Lyapunov
+# solution and the Monte Carlo estimate
+@pytest.mark.parametrize("kind, calls", [("additive", 6),
+                                         ("multiplicative", 2)])
+def test_robustness_decomposes_each_matrix_once(monkeypatch, kind, calls):
     seen = []
     original = spectral.eigh
 
@@ -812,12 +815,11 @@ def test_additive_robustness_decomposes_each_matrix_once(monkeypatch):
         seen.append(np.asarray(getattr(m, "entries", m)).tobytes())
         return original(m)
 
-    for module in (spectral, descent, lab):
+    for module in (spectral, lab):
         monkeypatch.setattr(module, "eigh", recording)
     q = random_simplex_point(make_rng(1), 3)
-    lab.robustness_experiment("additive", q, [0])
-    # per gd method: its curvature Q, the Lyapunov solution and the estimate
-    assert len(seen) == 6 and len(set(seen)) == 6
+    lab.robustness_experiment(kind, q, [0])
+    assert len(seen) == calls and len(set(seen)) == calls
 
 
 def test_robustness_rejects_unknown_kind():

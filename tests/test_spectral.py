@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from simplex_flows import lab
 from simplex_flows.coords import EtaCoord, to_eta, to_theta
-from simplex_flows.geometry import SymMatrix, hess_phi, hess_psi
+from simplex_flows.descent import destabilizing_delta, optimal_lr
+from simplex_flows.geometry import hess_phi, hess_psi
 from simplex_flows.rng import (make_rng, normal_matrix, random_simplex_batch,
                                random_simplex_point)
 from simplex_flows.spectral import (EigenDecomposition, cond, eigh,
@@ -151,6 +153,25 @@ def test_solve_lyapunov_requires_contraction():
         solve_lyapunov(np.eye(2), 2.0)   # spectral radius exactly 1
     with pytest.raises(ValueError):
         solve_lyapunov(np.eye(2), 3.0)
+
+
+# every function of a positive definite matrix rejects any other with the
+# one message of positive_spectrum, given the matrix or its decomposition;
+# solve_lyapunov rejects it before its contraction check (at alpha = 0.1,
+# Q's eigenvalue -1 puts M's at 1.1)
+@pytest.mark.parametrize("given", ["matrix", "decomposition"])
+@pytest.mark.parametrize("fn", [
+    cond, sym_sqrt, lambda m: solve_lyapunov(m, 0.1), optimal_lr,
+    destabilizing_delta],
+    ids=["cond", "sym_sqrt", "solve_lyapunov", "optimal_lr",
+         "destabilizing_delta"])
+def test_non_positive_definite_input_raises_one_error(fn, given):
+    for m in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([0.0, 3.0])):
+        arg = eigh(m) if given == "decomposition" else m
+        low = eigh(m).values[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix is not positive definite (min eig {low:g})")):
+            fn(arg)
 
 
 def test_hess_psi_eigenvalues_below_one():

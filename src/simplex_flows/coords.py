@@ -103,21 +103,10 @@ class ThetaCoord:
 
 
 # ---------------------------------------------------------------------------
-# conversions
-
-
-def to_eta(p: SimplexPoint) -> EtaCoord:
-    """Drop the last probability."""
-    return EtaCoord(p.probs[:-1])
-
-
-def to_theta(p: SimplexPoint) -> ThetaCoord:
-    """Log-odds of each outcome against the last one."""
-    return ThetaCoord(np.log(p.probs[:-1]) - np.log(p.probs[-1]))
-
-
-def simplex_from_eta(e: EtaCoord) -> SimplexPoint:
-    return SimplexPoint(np.append(e.eta, 1.0 - e.eta.sum()))
+# conversions: chart maps of (B, n) state rows of a base chart (eta, theta,
+# natural_eta, natural_theta) or a descent method, where a name that ends in
+# theta holds exponential coordinates and every other one mixture
+# coordinates; the typed conversions are their one-row calls
 
 
 def softmax_rows(theta_rows: np.ndarray) -> np.ndarray:
@@ -134,23 +123,6 @@ def softmax_rows(theta_rows: np.ndarray) -> np.ndarray:
     np.exp(p, out=p)
     p /= p[:, :-1].sum(axis=1, keepdims=True) + p[:, -1:]
     return p
-
-
-def simplex_from_theta(t: ThetaCoord) -> SimplexPoint:
-    return SimplexPoint(softmax_rows(t.theta[None, :])[0])
-
-
-def eta_from_theta(t: ThetaCoord) -> EtaCoord:
-    return to_eta(simplex_from_theta(t))
-
-
-def theta_from_eta(e: EtaCoord) -> ThetaCoord:
-    return to_theta(simplex_from_eta(e))
-
-
-# chart maps of (B, n) state rows of a base chart (eta, theta, natural_eta,
-# natural_theta) or a descent method: a name that ends in theta holds
-# exponential coordinates, every other one mixture coordinates.
 
 
 def state_rows(chart: str, probs: np.ndarray) -> np.ndarray:
@@ -173,6 +145,32 @@ def valid_rows(chart: str, x: np.ndarray) -> np.ndarray:
     if not chart.endswith("theta"):
         ok &= (x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0)
     return ok
+
+
+def to_eta(p: SimplexPoint) -> EtaCoord:
+    """Drop the last probability."""
+    return EtaCoord(state_rows("eta", p.probs[None])[0])
+
+
+def to_theta(p: SimplexPoint) -> ThetaCoord:
+    """Log-odds of each outcome against the last one."""
+    return ThetaCoord(state_rows("theta", p.probs[None])[0])
+
+
+def simplex_from_eta(e: EtaCoord) -> SimplexPoint:
+    return SimplexPoint(probs_rows("eta", e.eta[None])[0])
+
+
+def simplex_from_theta(t: ThetaCoord) -> SimplexPoint:
+    return SimplexPoint(probs_rows("theta", t.theta[None])[0])
+
+
+def eta_from_theta(t: ThetaCoord) -> EtaCoord:
+    return to_eta(simplex_from_theta(t))
+
+
+def theta_from_eta(e: EtaCoord) -> ThetaCoord:
+    return to_theta(simplex_from_eta(e))
 
 
 # ---------------------------------------------------------------------------

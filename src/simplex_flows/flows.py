@@ -3,9 +3,9 @@
 Each flow is an ODE x'(t) = field(x) in one of the coordinate charts
 (mixture eta, exponential theta, their Fisher-preconditioned "natural"
 versions, or an affine rechart).  The field is geometry.field, looked up
-once per integration; an affine chart theta = A thetabar + b is a pullback
-of its base chart, the eta field at etabar^T A^-1 times A^-T (as rows) or
-the theta field at A thetabar + b times A.  Integration is adaptive
+once per integration; an affine chart is a pullback of its base chart
+through the chart's one map, AffineChart.base_map: the base field at the
+rows y @ m + b, times m^T.  Integration is adaptive
 DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
 ODEs I, II.10): 12 field calls a step, the last at the new state and the
 next step's first (FSAL).  The step size follows the embedded error
@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import (EtaCoord, SimplexPoint, ThetaCoord, probs_rows,
-                     state_rows, to_theta, valid_rows)
+from .coords import (EtaCoord, SimplexPoint, probs_rows, state_rows,
+                     to_theta, valid_rows)
 from .errors import BoundaryEscape
 from .geometry import FIELDS, AffineChart, loss_rows
 
@@ -119,16 +119,17 @@ class Trajectory:
 def _pullback(loss, chart, affine=None):
     """(to_base, rhs) of a chart: the map of its state rows to its base chart
     (eta or theta for an affine chart, else the chart itself) and its field
-    rhs(y, target).  An affine chart's field is the base field at the
-    mapped rows, mapped back by one matrix product."""
-    f = FIELDS[loss, chart.replace("affine_", "")]
-    if chart == "affine_eta":  # eta = A^-T etabar, as rows etabar^T A^-1
-        m = affine.a_inv
-        return (lambda y: y @ m), (lambda y, t: f(y @ m, t) @ m.T)
-    if chart == "affine_theta":  # theta = A thetabar + b
-        a, b = affine.a_matrix, affine.b_offset
-        return (lambda y: y @ a.T + b), (lambda y, t: f(y @ a.T + b, t) @ a)
-    return (lambda y: y), f
+    rhs(y, target).  An affine chart's rows map to y @ m + b by its one
+    AffineChart.base_map, and its field is the base field there @ m^T."""
+    base = chart.replace("affine_", "")
+    f = FIELDS[loss, base]
+    if affine is None:
+        return (lambda y: y), f
+    m, b, _ = affine.base_map(base)
+    mt = m.T
+    if base == "eta":  # etabar = A^T eta has no offset: add none per call
+        return (lambda y: y @ m), (lambda y, t: f(y @ m, t) @ mt)
+    return (lambda y: y @ m + b), (lambda y, t: f(y @ m + b, t) @ mt)
 
 
 class _Engine:
@@ -136,22 +137,19 @@ class _Engine:
     per integration; validity and probabilities are the base chart's."""
 
     def __init__(self, loss, chart, target, affine=None):
-        self.loss, self.chart, self.affine = loss, chart, affine
+        self.loss, self.affine = loss, affine
         self.q, self.base = target.probs, chart.replace("affine_", "")
         self.to_base, field = _pullback(loss, chart, affine)
         goal = target.probs[:-1] if loss == "Lq" else to_theta(target).theta
         self.rhs = lambda y: field(y, goal)
 
     def init_state(self, probs):
-        """States of (B, n+1) probability rows (affine: row by row)."""
+        """States of (B, n+1) probability rows (affine: w @ (x - b) by row)."""
         x = state_rows(self.base, probs)
-        if self.chart == "affine_eta":
-            return np.array([self.affine.barred_from_eta(EtaCoord(r))
-                             for r in x])
-        if self.chart == "affine_theta":
-            return np.array([self.affine.barred_from_theta(ThetaCoord(r))
-                             for r in x])
-        return x
+        if self.affine is None:
+            return x
+        _, b, w = self.affine.base_map(self.base)
+        return np.array([w @ (r - b) for r in x])
 
     def valid(self, y):
         return valid_rows(self.base, self.to_base(y))

@@ -25,6 +25,8 @@ and in the other chart it is the first chart's plain formula.  The flows
 integrate these fields, descent steps along them, and the scalar
 gradients are one-row calls of field.  loss_rows is the KL of probability
 rows for both losses, and loss_Lq_theta and loss_Lstar_theta its one-row calls.
+An affine rechart theta = A thetabar + b has one map to each base chart,
+AffineChart.base_map; its fields and Hessians follow by the chain rule.
 """
 
 import dataclasses
@@ -315,13 +317,17 @@ class AffineChart:
     def n(self):
         return self.a_matrix.shape[0]
 
-    # chart maps ------------------------------------------------------------
-
-    def barred_from_theta(self, t: ThetaCoord) -> np.ndarray:
-        return self.a_inv @ (t.theta - self.b_offset)
-
-    def barred_from_eta(self, e: EtaCoord) -> np.ndarray:
-        return self.a_matrix.T @ e.eta
+    def base_map(self, base: str):
+        """(m, b, w) of base chart "eta" or "theta": base rows are barred
+        rows @ m + b, and w @ (x - b) is the barred state of a base state x:
+        (A^T, b, A^-1) for theta = A thetabar + b, (A^-1, 0, A^T) for etabar
+        = A^T eta.  By the chain rule, field rows f pull back to f @ m^T and
+        a Hessian H to m H m^T."""
+        if base == "theta":
+            return self.a_matrix.T, self.b_offset, self.a_inv
+        if base == "eta":
+            return self.a_inv, np.zeros(self.n), self.a_matrix.T
+        raise ValueError(f"unknown base chart {base!r}")
 
 
 def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
@@ -335,8 +341,8 @@ def make_identity_chart(tq: ThetaCoord, c: float) -> AffineChart:
     """
     from .spectral import sym_sqrt  # local import to avoid a cycle
 
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be finite and positive, got {c}")
     d = sym_sqrt(curvature("eta", simplex_from_theta(tq))).entries
     return AffineChart(d / np.sqrt(c), np.zeros(tq.n))
 

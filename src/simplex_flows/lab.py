@@ -17,14 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, simplex_from_theta,
-                     softmax_rows, to_theta)
+from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, probs_rows,
+                     simplex_from_theta, softmax_rows, to_theta, valid_rows)
 from .descent import (METHOD_CHARTS, METHODS, DescentSpec, closed_loop,
                       descend_rows, destabilizing_delta, optimal_lr, state_rows)
 from .empirical import Dataset, empirical_target, run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
-from .flows import (DT, SAMPLE_EVERY, check_settings, integrate_batch,
+from .flows import (DT, SAMPLE_EVERY, FlowSpec, check_settings, integrate,
                     integrate_blocks, sample_times)
 from .geometry import curvature, kl, kl_rows, loss_rows, make_identity_chart
 from .rng import (DRAW_BLOCK, first_simplex_point, make_rng, normal_matrix,
@@ -458,27 +458,24 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
     rows, ok_rates, hess_dev = [], True, 0.0
     for c in c_values:
         chart = make_identity_chart(to_theta(q), c)
-        a = chart.a_matrix
-        dev_eta = np.abs(chart.a_inv @ hq_eta @ chart.a_inv.T
-                         - c * np.eye(q.n)).max()
-        dev_theta = np.abs(a.T @ hq_theta @ a - np.eye(q.n) / c).max()
-        hess_dev = max(hess_dev, float(dev_eta), float(dev_theta))
+        for base, h, identity in (("eta", hq_eta, c * np.eye(q.n)),
+                                  ("theta", hq_theta, np.eye(q.n) / c)):
+            m = chart.base_map(base)[0]
+            hess_dev = max(hess_dev,
+                           float(np.abs(m @ h @ m.T - identity).max()))
         kl0 = kl(q, p_near)
         fits = []
         for chart_kind, expected in (("affine_eta", 2.0 * c),
                                      ("affine_theta", 2.0 / c)):
             try:
                 t_end, dt_chart = _horizon(kl0, expected, dt)
-                times, _states, kls = integrate_batch(
-                    "Lq", chart_kind, q, p_near.probs[None, :], t_end,
-                    dt=dt_chart, affine=chart)
-                rate, _, r2, _, reason = fit_rates(times, kls)
-                if reason[0]:
-                    raise InsufficientDecay(reason[0])
+                fit = fit_rate(integrate(
+                    FlowSpec("Lq", chart_kind, q, p_near, chart), t_end,
+                    dt=dt_chart))
             except InsufficientDecay as exc:
                 raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
-            fits.append((float(rate[0]), float(r2[0])))
-            ok_rates &= abs(rate[0] - expected) <= AFFINE_RTOL * expected
+            fits.append((fit.slope, fit.r_squared))
+            ok_rates &= abs(fit.slope - expected) <= AFFINE_RTOL * expected
         (r_eta, r2_eta), (r_theta, r2_theta) = fits
         rows.append((c, r_eta, 2.0 * c, r_theta, 2.0 / c, r2_eta, r2_theta))
 
@@ -955,16 +952,15 @@ def local_sections(q: SimplexPoint, n_directions: int, s_grid: Sequence[float],
     rows = []
     ok_eta = ok_theta = True
     for i, v in enumerate(dirs):
-        for s in s_grid:
+        steps = s_grid[:, None] * v
+        eta = eta_q + steps
+        for s, inside, p_eta, theta in zip(s_grid, valid_rows("eta", eta),
+                                           probs_rows("eta", eta),
+                                           theta_q + steps):
             ref = 0.5 * s * s
-            eta = eta_q + s * v
-            if np.all(eta > 0) and eta.sum() < 1.0:
-                sec_eta = kl(q, SimplexPoint(np.append(eta, 1.0 - eta.sum())))
-            else:
-                sec_eta = float("nan")
+            sec_eta = kl(q, SimplexPoint(p_eta)) if inside else float("nan")
             try:
-                sec_theta = kl(q, simplex_from_theta(
-                    ThetaCoord(theta_q + s * v)))
+                sec_theta = kl(q, simplex_from_theta(ThetaCoord(theta)))
             except ValueError as exc:
                 raise ValueError(f"direction {i}, s = {s:.9g}: {exc}") from exc
             if 0 < abs(s) <= SECTION_S:

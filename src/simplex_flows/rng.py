@@ -7,10 +7,11 @@ Box-Muller transform on top of the uniform stream, in one place:
 ``normal_rows(rng, count, dim)``.  Its row k equals, bit for bit, the k-th of
 ``count`` successive ``normal_vector(rng, dim)`` calls, and it leaves the
 generator in the same state, so a loop that draws one vector per step can
-draw all of its steps in one call up front.  In the same way, row k of
-``random_simplex_batch`` is the k-th ``random_simplex_point`` draw bit for
-bit, so ``first_simplex_point`` scans a block of draws at once, yet returns
-the draw and leaves the state that a loop of single draws would.
+draw all of its steps in one call up front.  In the same way,
+``random_simplex_point`` is a one-row ``random_simplex_batch``, and row k of
+a batch is the k-th single draw bit for bit, so ``first_simplex_point``
+scans a block of draws at once, yet returns the draw and leaves the state
+that a loop of single draws would.
 """
 
 import numpy as np
@@ -49,17 +50,16 @@ def normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return normal_rows(rng, 1, rows * cols).reshape(rows, cols)
 
 
-def random_simplex_point(rng: np.random.Generator, n: int) -> SimplexPoint:
-    """Uniform (flat Dirichlet) draw from the interior of the n-simplex,
-    via normalized standard exponentials."""
-    x = -np.log1p(-rng.random(n + 1))
-    return SimplexPoint(x / x.sum())
-
-
 def random_simplex_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """count independent flat-Dirichlet draws, one per row."""
+    """count independent uniform (flat Dirichlet) draws from the interior of
+    the n-simplex, one per row, via normalized standard exponentials."""
     x = -np.log1p(-rng.random((count, n + 1)))
     return x / x.sum(axis=1, keepdims=True)
+
+
+def random_simplex_point(rng: np.random.Generator, n: int) -> SimplexPoint:
+    """One flat-Dirichlet draw: a one-row random_simplex_batch."""
+    return SimplexPoint(random_simplex_batch(rng, n, 1)[0])
 
 
 def first_simplex_point(rng: np.random.Generator, n: int, floor: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import EtaCoord
+from .coords import EtaCoord, simplex_from_eta
 from .geometry import SymMatrix
 
 
@@ -160,8 +160,7 @@ def kappa_lower_bound(eq: EtaCoord) -> float:
     By Weyl's inequality this bounds from below the condition number of the
     curvature of L_q at its optimum, in either coordinate chart.
     """
-    p = np.append(eq.eta, 1.0 - eq.eta.sum())
-    two_smallest = np.sort(p)[:2]
+    two_smallest = np.sort(simplex_from_eta(eq).probs)[:2]
     return float(two_smallest[1] / two_smallest[0])
 
 

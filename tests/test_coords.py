@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from simplex_flows.coords import (EtaCoord, SimplexPoint, ThetaCoord,
-                                  eta_from_theta, phi, psi, simplex_from_eta,
-                                  simplex_from_theta, softmax_rows,
-                                  theta_from_eta, to_eta, to_theta)
-from simplex_flows.rng import make_rng, random_simplex_point
+from simplex_flows.coords import (MIN_PROB, EtaCoord, SimplexPoint,
+                                  ThetaCoord, eta_from_theta, phi, probs_rows,
+                                  psi, simplex_from_eta, simplex_from_theta,
+                                  softmax_rows, state_rows, theta_from_eta,
+                                  to_eta, to_theta)
+from simplex_flows.rng import (make_rng, random_simplex_batch,
+                               random_simplex_point)
 
 
 def test_softmax_rows_matches_one_point_softmax():
@@ -17,6 +19,40 @@ def test_softmax_rows_matches_one_point_softmax():
         for t, row in zip(theta, softmax_rows(theta)):
             w = np.exp(np.concatenate([t, [0.0]]) - max(0.0, t.max()))
             assert np.array_equal(w / w.sum(), row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_typed_conversions_are_rows_of_the_rows_maps(n):
+    # each typed conversion of a point equals its row of the rows map over
+    # a whole batch, bit for bit, at the numeric edges: probabilities and
+    # mixture rows within 1e-12 of a face, and theta up to +-700
+    rng = make_rng([41, n])
+    probs = random_simplex_batch(rng, n, 60)
+    for k, row in enumerate(probs[:40]):  # one entry 1e-12, cycling
+        j = k % (n + 1)
+        row *= (1.0 - 1e-12) / (row.sum() - row[j])
+        row[j] = 1e-12
+    eta = probs[:, :-1]
+    edge = np.full((2, n), -690.0)  # probabilities near exp(-690) > MIN_PROB
+    edge[1] = np.eye(n)[0] * 690.0
+    theta = np.vstack([700.0 * (2.0 * rng.random((60, n)) - 1.0), edge,
+                       state_rows("theta", probs)])
+    for chart, typed in (("eta", to_eta), ("theta", to_theta)):
+        states = state_rows(chart, probs)
+        for p, x in zip(probs, states):
+            assert np.array_equal(getattr(typed(SimplexPoint(p)), chart), x)
+    for e, p in zip(eta, probs_rows("eta", eta)):
+        assert np.array_equal(simplex_from_eta(EtaCoord(e)).probs, p)
+    kept = 0
+    for t, p in zip(theta, probs_rows("theta", theta)):
+        try:
+            point = simplex_from_theta(ThetaCoord(t))
+        except ValueError:  # the row has an entry below MIN_PROB
+            assert p.min() < MIN_PROB
+            continue
+        assert np.array_equal(point.probs, p)
+        kept += 1
+    assert kept >= 62
 
 
 def test_roundtrips_all_charts():

@@ -46,9 +46,10 @@ class _BranchEngine:
             return p0.probs[:-1].copy()
         if self.chart in ("theta", "natural_theta"):
             return to_theta(p0).theta.copy()
-        if self.chart == "affine_eta":
-            return self.affine.barred_from_eta(to_eta(p0))
-        return self.affine.barred_from_theta(to_theta(p0))
+        if self.chart == "affine_eta":  # etabar = A^T eta
+            return self.affine.a_matrix.T @ to_eta(p0).eta
+        # thetabar = A^-1 (theta - b)
+        return self.affine.a_inv @ (to_theta(p0).theta - self.affine.b_offset)
 
     def _eta_rows(self, y):
         if self.chart in ("eta", "natural_eta"):

@@ -213,6 +213,12 @@ def test_invalid_initial_state_names_flow_and_rows():
             "Lq/eta: initial state is not in the chart's valid set; "
             "failing batch rows [2]")):
         integrate_batch("Lq", "eta", q, inits, 1.0)
+    # the affine eta chart maps the eta chart's states: the same row fails
+    chart = make_identity_chart(to_theta(q), 2.0)
+    with pytest.raises(BoundaryEscape, match=re.escape(
+            "Lq/affine_eta: initial state is not in the chart's valid set; "
+            "failing batch rows [2]")):
+        integrate_batch("Lq", "affine_eta", q, inits, 1.0, affine=chart)
 
 
 @pytest.mark.parametrize("t_end, dt, sample_every", [

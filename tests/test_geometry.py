@@ -195,49 +195,52 @@ def test_sym_matrix_rejects_asymmetric():
 
 
 def test_affine_chart_roundtrip(rng):
-    a = np.array([[2.0, 0.3], [0.1, 1.5]])
-    chart = AffineChart(a, np.array([0.5, -0.2]))
+    # base rows are barred rows @ m + b, and w @ (x - b) inverts the map
+    chart = AffineChart(np.array([[2.0, 0.3], [0.1, 1.5]]),
+                        np.array([0.5, -0.2]))
     p = random_simplex_point(rng, 2)
-    t = to_theta(p)
-    tb = chart.barred_from_theta(t)
-    assert np.abs(chart.a_matrix @ tb + chart.b_offset - t.theta).max() < 1e-12
-    e = to_eta(p)
-    eb = chart.barred_from_eta(e)
-    assert np.abs(chart.a_inv.T @ eb - e.eta).max() < 1e-12
+    for base, x in (("theta", to_theta(p).theta), ("eta", to_eta(p).eta)):
+        m, b, w = chart.base_map(base)
+        barred = w @ (x - b)
+        assert np.abs(barred @ m + b - x).max() < 1e-12
+        assert np.abs(m @ w.T - np.eye(2)).max() < 1e-12
+    assert np.array_equal(chart.base_map("eta")[1], np.zeros(2))
+    with pytest.raises(ValueError):
+        chart.base_map("natural_eta")
     with pytest.raises(ValueError):
         AffineChart(np.zeros((2, 2)), np.zeros(2))
 
 
 def test_affine_chart_gradient_transformation(rng):
-    # gradient in the barred chart equals A^T times the theta gradient
+    # the gradient in the barred theta chart is the theta gradient @ m^T
     q = interior_point(rng, 2)
     p = interior_point(rng, 2)
     chart = AffineChart(np.array([[1.2, -0.4], [0.2, 0.8]]), np.array([0.1, 0.3]))
-    tb = chart.barred_from_theta(to_theta(p))
+    m, b, w = chart.base_map("theta")
+    tb = w @ (to_theta(p).theta - b)
 
     def barred_loss(x):
-        return loss_Lq_theta(ThetaCoord(chart.a_matrix @ x + chart.b_offset), q)
+        return loss_Lq_theta(ThetaCoord(x @ m + b), q)
 
-    analytic = chart.a_matrix.T @ grad_Lq_theta(to_theta(p), to_theta(q))
+    analytic = grad_Lq_theta(to_theta(p), to_theta(q)) @ m.T
     numeric = fd_gradient(barred_loss, tb)
     assert np.abs(analytic - numeric).max() < 1e-5 * max(1.0, np.abs(analytic).max())
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_make_identity_chart_equalizes_hessians(rng, c):
+    # m H m^T of each base chart's curvature: c I in etabar, I / c in thetabar
     q = random_simplex_point(rng, 5)
     tq = to_theta(q)
     chart = make_identity_chart(tq, c)
-    h_eta = hess_phi(to_eta(q)).entries
-    h_theta = hess_psi(tq).entries
     n = q.n
-    dev_eta = np.abs(chart.a_inv @ h_eta @ chart.a_inv.T - c * np.eye(n)).max()
-    dev_theta = np.abs(chart.a_matrix.T @ h_theta @ chart.a_matrix
-                       - np.eye(n) / c).max()
-    assert dev_eta < 1e-10
-    assert dev_theta < 1e-10
-    with pytest.raises(ValueError):
-        make_identity_chart(tq, -1.0)
+    for base, h, identity in (("eta", hess_phi(to_eta(q)).entries, c * np.eye(n)),
+                              ("theta", hess_psi(tq).entries, np.eye(n) / c)):
+        m = chart.base_map(base)[0]
+        assert np.abs(m @ h @ m.T - identity).max() < 1e-10
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            make_identity_chart(tq, bad)
 
 
 def test_lstar_theta_loss_value(rng):

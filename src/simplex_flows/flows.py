@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import (EtaCoord, SimplexPoint, probs_rows, state_rows,
-                     to_theta, valid_rows)
+from .coords import (EtaCoord, SimplexPoint, probs_rows, simplex_rows_ok,
+                     state_rows, to_theta, valid_rows)
 from .errors import BoundaryEscape
 from .geometry import FIELDS, AffineChart, loss_rows
 
@@ -271,15 +271,21 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=DT,
     max(1, BLOCK_ROWS // B) to a block, whose times concatenate to
     sample_times(t_end, dt, sample_every).  dt also sets the
     first trial step; all rows share one adaptive step size.  Raises
-    ValueError (settings) or BoundaryEscape (initial state) when the first
-    block is drawn; the ValueError of _check_flow names loss and chart.
+    ValueError (settings, init rows that are not probability vectors) or
+    BoundaryEscape (initial state) when the first block is drawn; the
+    ValueErrors of _check_flow and of the init rows name loss and chart.
     """
     times = sample_times(t_end, dt, sample_every)
     init_probs = np.atleast_2d(np.asarray(init_probs, dtype=float))
     _check_flow(loss, chart, target, init_probs.shape[1] - 1, affine)
     eng = _Engine(loss, chart, target, affine)
-    for row in init_probs:
-        SimplexPoint(row)  # raises ValueError unless a probability row
+    bad = np.flatnonzero(~simplex_rows_ok(init_probs)).tolist()
+    if bad:
+        try:
+            SimplexPoint(init_probs[bad[0]])
+        except ValueError as exc:
+            raise ValueError(f"{loss}/{chart}: init rows {bad} are not "
+                             f"probability vectors: {exc}") from None
     y = eng.init_state(init_probs)
     valid = eng.valid(y)
     if not valid.all():

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, probs_rows,
-                     simplex_from_theta, softmax_rows, to_theta, valid_rows)
+from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, probs_rows, row_min,
+                     simplex_from_theta, simplex_rows_ok, softmax_rows,
+                     to_theta, valid_rows)
 from .descent import (METHOD_CHARTS, METHODS, DescentSpec, closed_loop,
                       descend_rows, destabilizing_delta, optimal_lr, state_rows)
 from .empirical import Dataset, empirical_target, run_empirical
@@ -26,7 +27,8 @@ from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
 from .flows import (DT, SAMPLE_EVERY, FlowSpec, check_settings, integrate,
                     integrate_blocks, sample_times)
-from .geometry import curvature, kl, kl_rows, loss_rows, make_identity_chart
+from .geometry import (curvature, kl, kl_probs, kl_rows, loss_rows,
+                       make_identity_chart)
 from .rng import (DRAW_BLOCK, first_simplex_point, make_rng, normal_matrix,
                   normal_rows, normal_vector, random_simplex_batch,
                   random_simplex_point)
@@ -307,9 +309,10 @@ def draw_near(q: SimplexPoint, p0: SimplexPoint,
     d = p0.probs - q.probs
     s = 1.0
     for _ in range(200):
-        cand = SimplexPoint(q.probs + s * d)
-        if kl(q, cand) <= kl_max:
-            return cand
+        cand = q.probs + s * d
+        ok = simplex_rows_ok(cand[None])[0]
+        if not ok or kl_probs(q.probs, cand) <= kl_max:
+            return SimplexPoint(cand)  # raises the reason unless ok
         s *= 0.7
     raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
 
@@ -365,7 +368,7 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
                       for row in random_simplex_batch(rng, n, n_inits)])
 
     vals = eigh(curvature("eta", q)).values
-    kl0_max = max(kl(q, SimplexPoint(row)) for row in inits)
+    kl0_max = max(kl_probs(q.probs, row) for row in inits)
     # asymptotic decay rates: 2 lambda_min of the curvature in each chart,
     # theta's as 2 / eta's lambda_max: the theta fits depend on its last bit
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
@@ -890,7 +893,7 @@ def nonconvexity_witness(p: SimplexPoint, search_seed: int,
         points = np.concatenate([pairs, 0.5 * (pairs[:, :1] + pairs[:, 1:])],
                                 axis=1)
         probs = softmax_rows(points.reshape(-1, n))
-        bad = ~(probs >= MIN_PROB).all(axis=1).reshape(k, 3)
+        bad = ~(row_min(probs) >= MIN_PROB).reshape(k, 3)
         # an underflowed row gives log 0 and NaN values; bad decides it
         with np.errstate(divide="ignore", invalid="ignore"):
             f_a, f_b, f_mid = loss_rows(loss, p.probs, probs).reshape(k, 3).T

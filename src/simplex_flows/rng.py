@@ -16,7 +16,7 @@ that a loop of single draws would.
 
 import numpy as np
 
-from .coords import SimplexPoint
+from .coords import SimplexPoint, row_min
 
 TWO_PI = 2.0 * np.pi
 DRAW_BLOCK = 1024  # draws made at once: first_simplex_point, rate_bounds
@@ -74,7 +74,7 @@ def first_simplex_point(rng: np.random.Generator, n: int, floor: float,
     while budget > 0:
         state = rng.bit_generator.state
         rows = random_simplex_batch(rng, n, min(DRAW_BLOCK, budget))
-        hits = np.flatnonzero(rows.min(axis=1) >= floor)
+        hits = np.flatnonzero(row_min(rows) >= floor)
         if hits.size:
             rng.bit_generator.state = state
             rng.random((hits[0] + 1, n + 1))  # the draws up to the hit

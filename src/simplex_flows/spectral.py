@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import EtaCoord, simplex_from_eta
+from .coords import EtaCoord, row_max, simplex_from_eta
 from .geometry import SymMatrix
 
 
@@ -98,7 +98,7 @@ def rank_one_extremes(d, c):
     if not (np.all(d > 0) and np.all(c > 0)):
         raise ValueError("rank_one_extremes needs positive d and c")
     n, ones = d.shape[1], np.ones(d.shape[1])  # row sums by one BLAS call
-    top = d.max(axis=1)
+    top = row_max(d)
 
     # lam_max = d_max + tau, tau in [c, n c]: s = c sum 1/(delta_i + tau) = 1,
     # where 1/s - 1 is concave and increasing, and s >= 1 at tau = c

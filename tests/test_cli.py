@@ -1,6 +1,10 @@
 import argparse
+import importlib.util
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +349,43 @@ def test_readme_cli_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command in cli._COMMANDS
+
+
+def test_output_digest_extras_parse():
+    # a renamed flag fails here rather than at the next byte-identity check
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    names = [name for name, _argv in digests.EXTRAS]
+    assert names and len(set(names)) == len(names)
+    parser = cli._build_parser()
+    for _name, argv in digests.EXTRAS:
+        args = parser.parse_args(shlex.split(argv))
+        assert args.command in cli._COMMANDS
+
+
+_ONE_PROCESS = [["kl", "--bogus", "1"],
+                ["kl", "--q", "0.5,0.5", "--p", "0.25,0.75"],
+                ["convert", "--eta", "0.2,0.3"],
+                ["kl", "--q", "0.9,0.9"]]
+
+
+def test_one_parser_per_process_runs_each_call_as_alone(capsys):
+    # the parser is built once per process; a usage error and the calls
+    # after it give each call's exit code, stdout and stderr run alone
+    script = ("import json, sys; from simplex_flows import cli; "
+              "code = cli.main(json.loads(sys.argv[1])); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    assert cli._build_parser() is cli._build_parser()
+    for argv in _ONE_PROCESS:
+        alone = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                               capture_output=True, text=True, env=env)
+        assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout,
+                                          alone.stderr)
+    assert [run_cli(capsys, *a)[0] for a in _ONE_PROCESS] == [2, 0, 0, 2]
 
 
 _SAMPLE_TEXT = {int: "3", float: "0.5", str: "abc",

@@ -3,9 +3,10 @@ import pytest
 
 from simplex_flows.coords import (MIN_PROB, EtaCoord, SimplexPoint,
                                   ThetaCoord, eta_from_theta, phi, probs_rows,
-                                  psi, simplex_from_eta, simplex_from_theta,
+                                  psi, row_max, row_min, simplex_from_eta,
+                                  simplex_from_theta, simplex_rows_ok,
                                   softmax_rows, state_rows, theta_from_eta,
-                                  to_eta, to_theta)
+                                  to_eta, to_theta, valid_rows)
 from simplex_flows.rng import (make_rng, random_simplex_batch,
                                random_simplex_point)
 
@@ -19,6 +20,156 @@ def test_softmax_rows_matches_one_point_softmax():
         for t, row in zip(theta, softmax_rows(theta)):
             w = np.exp(np.concatenate([t, [0.0]]) - max(0.0, t.max()))
             assert np.array_equal(w / w.sum(), row)
+
+
+_EDGES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 700.0,
+                   -700.0, 1e-301, 0.5])
+
+
+def _edge_rows(rng, b, n):
+    """(b, n) rows mixing theta up to +-700 with NaN, +-inf and +-0.0."""
+    x = 700.0 * (2.0 * rng.random((b, n)) - 1.0)
+    pick = rng.random((b, n)) < 0.3
+    x[pick] = rng.choice(_EDGES, size=int(pick.sum()))
+    return x
+
+
+def _softmax_rows_former(theta_rows):
+    """softmax_rows as it was, with numpy's per-row max."""
+    m = theta_rows.max(axis=1, keepdims=True, initial=0.0)
+    p = np.empty((theta_rows.shape[0], theta_rows.shape[1] + 1))
+    np.subtract(theta_rows, m, out=p[:, :-1])
+    np.negative(m, out=p[:, -1:])
+    np.exp(p, out=p)
+    p /= p[:, :-1].sum(axis=1, keepdims=True) + p[:, -1:]
+    return p
+
+
+def _valid_rows_former(chart, x):
+    """valid_rows as it was: finite, and for mixture rows positive and
+    summing to less than 1, as three separate per-row tests."""
+    ok = np.isfinite(x).all(axis=1)
+    if not chart.endswith("theta"):
+        ok &= (x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0)
+    return ok
+
+
+def _nan_positive(a):
+    """a with every NaN made numpy's positive NaN: blind to a NaN's sign."""
+    a = a.copy()
+    a[np.isnan(a)] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_row_max_and_row_min_are_the_row_reductions(n):
+    # bit for bit (tobytes: the sign of zero and NaN count) at any row count,
+    # but for two signs the row loop itself picks by position in the row: a
+    # zero's where a row ties 0.0 and -0.0, and a NaN's where a row holds a
+    # negative NaN (the default NaN of inf - inf)
+    rng = make_rng([28, n])
+    for b in (0, 1, 100, 4096):
+        plus = _edge_rows(rng, b, n)  # positive NaNs, both zeros
+        minus = -np.abs(_edge_rows(rng, b, n))  # negative NaNs, -0.0 only
+        loose = 0
+        for x in (plus, rng.choice([0.0, -0.0], (b, n)), minus):
+            zeros = [(x == 0.0) & (np.signbit(x) == sign) for sign in (0, 1)]
+            for got, want, initial in (
+                    (row_max(x, initial=0.0), x.max(axis=1, initial=0.0), 0),
+                    (row_max(x), x.max(axis=1, initial=-np.inf), None),
+                    (row_min(x), x.min(axis=1), None)):
+                assert got.shape == want.shape == (b,)
+                differ = got.view(np.uint64) != want.view(np.uint64)
+                tie = zeros[1].any(axis=1) & (zeros[0].any(axis=1)
+                                              | (initial == 0))
+                zero_tie = (got == 0.0) & (want == 0.0) & tie
+                nan = np.isnan(got) & np.isnan(want) & (x is minus)
+                assert not np.any(differ & ~zero_tie & ~nan)
+                loose += int(differ.sum())
+        if b == 4096 and n > 1:  # the two freedoms are real
+            assert loose > 0
+        plus[plus == 0.0] = 0.0  # no ties: every bit agrees
+        for got, want in ((row_max(plus, initial=0.0),
+                           plus.max(axis=1, initial=0.0)),
+                          (row_max(plus), plus.max(axis=1)),
+                          (row_min(plus), plus.min(axis=1))):
+            assert got.tobytes() == want.tobytes()
+        flags = rng.random((b, n)) < 0.9
+        assert row_min(flags).tobytes() == flags.all(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_softmax_rows_equals_the_former_row_max_form(n):
+    # the shift m is the only changed step.  A zero's sign in m cancels (t - m
+    # and -m then differ only in a zero's sign, and exp(+-0) = 1), so rows
+    # without a negative NaN agree bit for bit; with one, only a NaN's sign
+    rng = make_rng([29, n])
+    with np.errstate(all="ignore"):
+        for b in (0, 1, 100, 4096):
+            for x in (_edge_rows(rng, b, n), rng.choice([0.0, -0.0], (b, n)),
+                      np.clip(_edge_rows(rng, b, n), -710.0, 710.0)):
+                assert (softmax_rows(x).tobytes()
+                        == _softmax_rows_former(x).tobytes())
+            x = -np.abs(_edge_rows(rng, b, n))
+            assert (_nan_positive(softmax_rows(x)).tobytes()
+                    == _nan_positive(_softmax_rows_former(x)).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_valid_rows_equals_the_former_three_test_form(n):
+    rng = make_rng([30, n])
+    eta = random_simplex_batch(rng, n, 200)[:, :-1]
+    # sums at 1 - 1 ulp, 1 and 1 + 1 ulp: the last entry takes what the
+    # rest leave, nudged a few ulps either way
+    edge = np.repeat(eta[:20], 9, axis=0)
+    rest = edge[:, :-1].sum(axis=1)
+    edge[:, -1] = 1.0 - rest + np.tile(np.arange(-4, 5), 20) * 2.0 ** -53
+    sums = edge.sum(axis=1)
+    assert {np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)} <= set(sums)
+    x = np.vstack([eta, edge, _edge_rows(rng, 300, n),
+                   rng.choice(_EDGES, (100, n)) / (n + 1)])
+    for chart in ("eta", "theta", "natural_eta", "natural_theta"):
+        with np.errstate(invalid="ignore"):  # sums of inf and -inf
+            assert (valid_rows(chart, x).tobytes()
+                    == _valid_rows_former(chart, x).tobytes())
+        assert valid_rows(chart, x[:0]).shape == (0,)
+
+
+def test_row_sums_stay_along_rows():
+    # a left-to-right sum over a column-major copy matches numpy's row sum on
+    # rows of up to 7 entries, but from 8 on numpy sums a row pairwise over
+    # 8 accumulators, and the column order differs in the last bit
+    rng = make_rng(33)
+    for cols in (2, 3, 7, 8, 11, 17):
+        x = rng.random((4096, cols))
+        differ = x.sum(axis=1) != np.add.reduce(x.T.copy(), axis=0)
+        assert differ.mean() > 0.2 if cols >= 8 else not differ.any()
+
+
+def test_simplex_rows_ok_is_simplex_point_acceptance():
+    rng = make_rng(31)
+    for n in (1, 2, 10):
+        probs = random_simplex_batch(rng, n, 50)
+        bad = probs[:10].copy()
+        bad[0, 0] = np.nan
+        bad[1, 0] = np.inf
+        bad[2, 0] = -np.inf
+        bad[3, -1] = -bad[3, -1]
+        bad[4, 0] = 1e-301
+        bad[5] = np.roll(bad[5], 1)
+        bad[5, 0] += 2e-9
+        bad[6, 0] = 0.0
+        bad[7, 0] = MIN_PROB
+        bad[7, -1] = 1.0 - bad[7, :-1].sum()
+        bad[8] *= 1.0 + 9e-10
+        rows = np.vstack([probs, bad])
+        for row, ok in zip(rows, simplex_rows_ok(rows)):
+            try:
+                SimplexPoint(row)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert ok == accepted
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])

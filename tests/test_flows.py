@@ -221,6 +221,31 @@ def test_invalid_initial_state_names_flow_and_rows():
         integrate_batch("Lq", "affine_eta", q, inits, 1.0, affine=chart)
 
 
+@pytest.mark.parametrize("bad_row, reason", [
+    ([np.nan, 0.5, 0.5], "probabilities must be finite"),
+    ([1.25, -0.25, 0.0], "probabilities must be strictly positive "
+     "(min entry -0.25)"),
+    ([0.5, 0.5, 1e-301], "probabilities must be strictly positive "
+     "(min entry 1e-301)"),
+    ([0.25 + 2e-9, 0.25, 0.5], "probabilities must sum to 1, got "
+     "np.float64(1.000000002)")])
+def test_bad_init_rows_name_the_flow_and_the_rows(bad_row, reason):
+    # every failing row is named, with SimplexPoint's reason for the first
+    q = random_simplex_point(make_rng(13), 2)
+    inits = np.tile([0.25, 0.25, 0.5], (5, 1))
+    inits[[1, 3]] = bad_row
+    inits[4, -1] += 5e-10  # a sum off by 5e-10 is within SUM_TOL
+    for chart in ("theta", "natural_eta"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Lq/{chart}: init rows [1, 3] are not probability "
+                f"vectors: {reason}")):
+            integrate_batch("Lq", chart, q, inits, 1.0)
+    # a one-column input has no coordinates: the flow check names it first
+    with pytest.raises(ValueError, match=re.escape(
+            "Lq/theta: init has 0 coordinates, target 2")):
+        integrate_batch("Lq", "theta", q, np.ones((3, 1)), 1.0)
+
+
 @pytest.mark.parametrize("t_end, dt, sample_every", [
     (-1.0, 1e-3, 10), (0.0, 1e-3, 10), (np.inf, 1e-3, 10), (np.nan, 1e-3, 10),
     (1.0, 0.0, 10), (1.0, -1.0, 10), (1.0, np.inf, 10), (1.0, np.nan, 10),

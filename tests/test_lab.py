@@ -211,6 +211,46 @@ def test_draw_near_caps_initial_kl():
     assert kl(q, near) <= 0.02
 
 
+def _draw_near_former(q, p0, kl_max):
+    """draw_near as it was: one SimplexPoint per candidate."""
+    d = p0.probs - q.probs
+    s = 1.0
+    for _ in range(200):
+        cand = SimplexPoint(q.probs + s * d)
+        if kl(q, cand) <= kl_max:
+            return cand
+        s *= 0.7
+    raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
+
+
+def _near_outcome(f, *args):
+    try:
+        return f(*args).probs.tobytes()
+    except (ValueError, ExperimentFailure) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_draw_near_equals_the_former_candidate_loop(n):
+    outcomes = set()
+    for seed in range(20):
+        rng = make_rng([32, seed])
+        q, p0 = lab.draw_instance(rng, n), random_simplex_point(rng, n)
+        # p0's first entry below ulp(q_0): q + (p0 - q) rounds it to 0
+        low = p0.probs.copy()
+        low[0] = np.spacing(q.probs[0]) / 4.0
+        low[1:] *= (1.0 - low[0]) / low[1:].sum()
+        for p in (p0, SimplexPoint(low)):
+            for kl_max in (lab.SANDWICH_KL_CAP, lab.NEAR_OPT_KL, 1e-9, -1.0):
+                got = _near_outcome(lab.draw_near, q, p, kl_max)
+                assert got == _near_outcome(_draw_near_former, q, p, kl_max)
+                outcomes.add(type(got))
+        assert _near_outcome(lab.draw_near, q, SimplexPoint(low), 1.0) == (
+            "ValueError: probabilities must be strictly positive "
+            "(min entry 0)")
+    assert outcomes == {bytes, str}
+
+
 def test_draw_instance_is_balanced():
     rng = make_rng(1)
     for n in (2, 10):

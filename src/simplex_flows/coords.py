@@ -41,13 +41,23 @@ def row_max(x: np.ndarray, initial: float = -np.inf) -> np.ndarray:
     """x.max(axis=1, initial=initial) over a column-major copy, several times
     faster on short rows.  Max does not round, so it is exact but for the
     sign of a zero or NaN result, which the row loop picks by position.
-    Sums stay along rows: they round, and numpy sums 8 or more pairwise."""
+    Sums round, so they keep numpy's row order (row_sum)."""
     return np.maximum.reduce(x.T.copy(), axis=0, initial=initial)
 
 
 def row_min(x: np.ndarray) -> np.ndarray:
     """x.min(axis=1) as row_max; of a bool array, each row's all."""
     return np.minimum.reduce(x.T.copy(), axis=0)
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1, keepdims=True) bit for bit.  A two-entry row sums as
+    a0 + a1 + 0.0 (numpy gives +0 for -0 + -0): one column addition in place
+    of numpy's per-row loop.  Wider rows keep that loop, which sums 8 or
+    more entries pairwise."""
+    if x.shape[1] == 2:
+        return x[:, :1] + x[:, 1:] + 0.0
+    return np.add.reduce(x, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class SimplexPoint:
                              f"(min entry {arr.min():g})")
         s = arr.sum()
         if abs(s - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {s!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(s)!r}")
 
     @property
     def n(self):
@@ -97,7 +107,8 @@ class EtaCoord:
             raise ValueError("eta entries must be strictly positive")
         # the implied last probability 1 - sum(eta) must stay positive
         if 1.0 - arr.sum() < MIN_PROB:
-            raise ValueError(f"eta entries must sum to less than 1, got {arr.sum()!r}")
+            raise ValueError("eta entries must sum to less than 1, "
+                             f"got {float(arr.sum())!r}")
 
     @property
     def n(self):
@@ -140,7 +151,7 @@ def softmax_rows(theta_rows: np.ndarray) -> np.ndarray:
     np.subtract(theta_rows, m, out=p[:, :-1])
     np.negative(m, out=p[:, -1:])
     np.exp(p, out=p)
-    p /= p[:, :-1].sum(axis=1, keepdims=True) + p[:, -1:]
+    p /= row_sum(p[:, :-1]) + p[:, -1:]
     return p
 
 
@@ -155,7 +166,7 @@ def probs_rows(chart: str, x: np.ndarray) -> np.ndarray:
     """The (B, n+1) probability rows of (B, n) states of a chart."""
     if chart.endswith("theta"):
         return softmax_rows(x)
-    return np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)])
+    return np.hstack([x, 1.0 - row_sum(x)])
 
 
 def valid_rows(chart: str, x: np.ndarray) -> np.ndarray:
@@ -163,7 +174,7 @@ def valid_rows(chart: str, x: np.ndarray) -> np.ndarray:
     if chart.endswith("theta"):
         return row_min(np.isfinite(x))
     # NaN and -inf fail the min, +inf the sum
-    return (row_min(x) > 0.0) & (x.sum(axis=1) < 1.0)
+    return (row_min(x) > 0.0) & (row_sum(x)[:, 0] < 1.0)
 
 
 def to_eta(p: SimplexPoint) -> EtaCoord:

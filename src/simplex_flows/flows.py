@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coords import (EtaCoord, SimplexPoint, probs_rows, simplex_rows_ok,
-                     state_rows, to_theta, valid_rows)
+from .coords import (EtaCoord, SimplexPoint, probs_rows, row_sum,
+                     simplex_rows_ok, state_rows, to_theta, valid_rows)
 from .errors import BoundaryEscape
 from .geometry import FIELDS, AffineChart, loss_rows
 
@@ -139,12 +139,19 @@ class _Engine:
     def __init__(self, loss, chart, target, affine=None):
         self.loss, self.affine = loss, affine
         self.q, self.base = target.probs, chart.replace("affine_", "")
-        self.to_base, field = _pullback(loss, chart, affine)
-        goal = target.probs[:-1] if loss == "Lq" else to_theta(target).theta
-        self.rhs = lambda y: field(y, goal)
+        self.to_base, self.field = _pullback(loss, chart, affine)
+        self.goal_row = (target.probs[:-1] if loss == "Lq"
+                         else to_theta(target).theta)
+        self.goal = self.goal_row
+
+    def rhs(self, y):
+        """The field at the B state rows of init_state (any rows before)."""
+        return self.field(y, self.goal)
 
     def init_state(self, probs):
-        """States of (B, n+1) probability rows (affine: w @ (x - b) by row)."""
+        """States of (B, n+1) probability rows (affine: w @ (x - b) by row).
+        The goal is tiled to B rows, so rhs subtracts equal shapes."""
+        self.goal = np.tile(self.goal_row, (len(probs), 1))
         x = state_rows(self.base, probs)
         if self.affine is None:
             return x
@@ -158,7 +165,7 @@ class _Engine:
         """The loss per row: geometry.loss_rows, clipped at 0."""
         p = probs_rows(self.base, self.to_base(y))
         if self.base.endswith("theta"):  # every chart reads 1 - sum(eta)
-            p[:, -1:] = 1.0 - p[:, :-1].sum(axis=1, keepdims=True)
+            p[:, -1:] = 1.0 - row_sum(p[:, :-1])
         return loss_rows(self.loss, self.q, p)
 
 
@@ -307,8 +314,9 @@ def integrate_blocks(loss, chart, target, init_probs, t_end, dt=DT,
                 y_new = y + h * np.dot(_A_ROWS[s], k2[:s]).reshape(shape)
                 k[s] = eng.rhs(y_new)
             scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            e5, e3 = np.add.reduce((np.dot(_E, k2[:12]).reshape(
-                (2,) + shape) / scale) ** 2, 2)  # per row
+            # per row: both estimates' sums of squared scaled errors
+            e5, e3 = row_sum(((np.dot(_E, k2[:12]).reshape((2,) + shape)
+                               / scale) ** 2).reshape(-1, size)).reshape(2, -1)
             err = float(_error_norm(h, e5.sum(), e3.sum(), y.size))
             valid = eng.valid(y_new)
         if err <= 1.0 and valid.all():

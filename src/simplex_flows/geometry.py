@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta, phi,
-                     psi, simplex_from_theta, softmax_rows, theta_from_eta,
-                     to_eta, to_theta)
+                     psi, row_sum, simplex_from_theta, softmax_rows,
+                     theta_from_eta, to_eta, to_theta)
 
 SYM_TOL = 1e-12
 
@@ -128,17 +128,17 @@ def bregman_phi(eq: EtaCoord, ep: EtaCoord) -> float:
 def _mixture_pull(e, eta_q, rest):
     """hess_phi(e) (eta_q - e) per row; rest is each row's last probability."""
     v = eta_q - e
-    return v / e + v.sum(axis=1, keepdims=True) / rest
+    return v / e + row_sum(v) / rest
 
 
 def _theta_of_eta(e):
     """Exponential coordinates of mixture rows."""
-    return np.log(e) - np.log(1.0 - e.sum(axis=1, keepdims=True))
+    return np.log(e) - np.log(1.0 - row_sum(e))
 
 
 def _exponential_pull(e, v):
     """hess_psi v per row, at the point with mixture coordinates e."""
-    return e * v - e * (e * v).sum(axis=1, keepdims=True)
+    return e * v - e * row_sum(e * v)
 
 
 def lq_theta_pull(p, eta_q):
@@ -152,8 +152,7 @@ def _lq_natural_theta(x, eta_q):
 
 
 FIELDS = {
-    ("Lq", "eta"): lambda x, t: _mixture_pull(
-        x, t, 1.0 - x.sum(axis=1, keepdims=True)),
+    ("Lq", "eta"): lambda x, t: _mixture_pull(x, t, 1.0 - row_sum(x)),
     ("Lq", "theta"): lambda x, t: lq_theta_pull(softmax_rows(x), t),
     ("Lq", "natural_eta"): lambda x, t: t - x,
     ("Lq", "natural_theta"): _lq_natural_theta,

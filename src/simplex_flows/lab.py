@@ -306,15 +306,46 @@ def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint, seed: int = 0,
 def draw_near(q: SimplexPoint, p0: SimplexPoint,
               kl_max: float = NEAR_OPT_KL) -> SimplexPoint:
     """Shrink p0 toward q along the mixture line until kl(q||p0) <= kl_max."""
-    d = p0.probs - q.probs
-    s = 1.0
+    return SimplexPoint(draw_near_rows(q, p0.probs[None], kl_max)[0][0])
+
+
+def draw_near_rows(q: SimplexPoint, p0_rows: np.ndarray,
+                   kl_max: float = NEAR_OPT_KL):
+    """draw_near of each (B, n+1) row at once: (rows, kls), the shrunk rows
+    and their kl(q||row).  The rows shrink together, level k at the scale
+    s *= 0.7 repeated k times; candidates pass simplex_rows_ok and their KL
+    is kl_probs.  Raises what draw_near row by row raises first: the lowest
+    row decides, whether its input or a candidate is not a probability
+    vector or it does not reach kl_max in 200 levels."""
+    p0_rows = np.asarray(p0_rows, dtype=float)
+    rows, kls = np.empty_like(p0_rows), np.empty(len(p0_rows))
+    d = p0_rows - q.probs
+    bad = np.flatnonzero(~simplex_rows_ok(p0_rows))
+    # the lowest failing row, and the row SimplexPoint rejects for it (None:
+    # its shrink ran out); only the rows below it still shrink
+    first, reject = (bad[0], p0_rows[bad[0]]) if bad.size else (len(d), None)
+    todo, s = np.arange(first), 1.0
     for _ in range(200):
-        cand = q.probs + s * d
-        ok = simplex_rows_ok(cand[None])[0]
-        if not ok or kl_probs(q.probs, cand) <= kl_max:
-            return SimplexPoint(cand)  # raises the reason unless ok
+        cand = q.probs + s * d[todo]
+        ok = simplex_rows_ok(cand)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            first, reject, todo, cand = todo[k], cand[k], todo[:k], cand[:k]
+        kl_cand = np.array([kl_probs(q.probs, row) for row in cand])
+        near = kl_cand <= kl_max
+        rows[todo[near]], kls[todo[near]] = cand[near], kl_cand[near]
+        todo = todo[~near]
+        if not todo.size:
+            break
         s *= 0.7
-    raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
+    else:
+        first, reject = todo[0], None
+    if first < len(d):
+        if reject is None:
+            raise ExperimentFailure(
+                "could not shrink p0 into the near-optimum regime")
+        SimplexPoint(reject)  # raises its reason: simplex_rows_ok failed it
+    return rows, kls
 
 
 def draw_instance(rng, n: int) -> SimplexPoint:
@@ -364,16 +395,17 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     check_settings(dt, sample_every, t_end)
     rng = make_rng(seed)
     q = draw_instance(rng, n)
-    inits = np.array([draw_near(q, SimplexPoint(row), SANDWICH_KL_CAP).probs
-                      for row in random_simplex_batch(rng, n, n_inits)])
+    inits, kl0s = draw_near_rows(q, random_simplex_batch(rng, n, n_inits),
+                                 SANDWICH_KL_CAP)
 
     vals = eigh(curvature("eta", q)).values
-    kl0_max = max(kl_probs(q.probs, row) for row in inits)
+    kl0_max = float(kl0s.max())
     # asymptotic decay rates: 2 lambda_min of the curvature in each chart,
     # theta's as 2 / eta's lambda_max: the theta fits depend on its last bit
     rate_est = {"eta": 2.0 * vals[0], "natural_eta": 2.0, "theta": 2.0 / vals[-1]}
     eta_q = q.probs[:-1]
-    offset = inits[None, :, :-1] - eta_q
+    offset = (inits[:, :-1] - eta_q).ravel()
+    eta_q_rows = np.tile(eta_q, n_inits)
     fits, grids, natural_exact_err = [], {}, 0.0
     for chart in ("eta", "natural_eta", "theta"):
         # the max-KL init sets the auto horizon
@@ -388,17 +420,15 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
                 sample_every=sample_every):
             m = j + block_times.size
             kls[j:m] = block_kls
-            if chart == "natural_eta":
-                dev = np.exp(-block_times)[:, None, None] * offset
-                dev += eta_q
-                dev -= states
-                natural_exact_err = np.maximum(natural_exact_err,
-                                               np.abs(dev, out=dev).max())
+            if chart == "natural_eta":  # no block's deviations are kept
+                dev_max = _natural_error(block_times, states, offset,
+                                         eta_q_rows).max()
+                natural_exact_err = np.maximum(natural_exact_err, dev_max)
             j = m
         # rates and R^2 per init; then the chart's KLs and last block go,
         # before the next chart allocates its own
         fits.append(fit_rates(times, kls))
-        kls = states = block_kls = dev = None
+        kls = states = block_kls = None
     natural_exact_err = float(natural_exact_err)
 
     # rates and R^2 per chart (eta, natural_eta, theta) of the fitted inits
@@ -438,6 +468,16 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     summary["_inits"] = inits
     summary["_grids"] = grids
     return summary
+
+
+def _natural_error(times, states, offset, eta_q_rows):
+    """|eta_q + exp(-t) (eta_0 - eta_q) - state|, the natural flow of L_q
+    against its closed form, at (m,) times and (m, B, n) states, as (m, B*n)
+    rows: offset is the B rows eta_0 - eta_q, eta_q_rows eta_q B times."""
+    dev = np.exp(-times)[:, None] * offset
+    dev += eta_q_rows
+    dev -= states.reshape(times.size, -1)
+    return np.abs(dev, out=dev)
 
 
 def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
@@ -710,11 +750,12 @@ def _robustness_multiplicative(q, seeds):
         e0_norm = 1.0
         ms = normal_rows(rng, PERTURB_STEPS, n * n).reshape(-1, n, n)
         s_norms = np.linalg.norm(ms, 2, axis=(1, 2))
-        for k in range(PERTURB_STEPS):
-            delta = PERTURB_NORM * ms[k] / s_norms[k]
-            # ngd, alpha = 1: e(k+1) = e - (I + Delta) e = -Delta e
+        deltas = PERTURB_NORM * ms / s_norms[:, None, None]
+        for k, delta in enumerate(deltas):
+            # ngd, alpha = 1: e(k+1) = e - (I + Delta) e = -Delta e; the
+            # norm is np.linalg.norm's own sqrt(e . e)
             e = -(delta @ e)
-            envelope_ok &= (np.linalg.norm(e)
+            envelope_ok &= (math.sqrt(e @ e)
                             <= PERTURB_NORM ** (k + 1) * e0_norm + 1e-12)
         final_norms.append(float(np.linalg.norm(e)))
     ngd_ok = all(fn < 1e-8 for fn in final_norms)

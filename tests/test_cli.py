@@ -47,6 +47,16 @@ def test_invalid_probability_vector_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("kl --q 0.5,0.6 --p 0.5,0.5",
+     "error: probabilities must sum to 1, got 1.1\n"),
+    ("convert --eta 0.6,0.6",
+     "error: eta entries must sum to less than 1, got 1.2\n")],
+    ids=["kl", "convert"])
+def test_bad_sums_print_the_sum_as_a_plain_float(capsys, argv, err):
+    assert run_cli(capsys, *argv.split()) == (2, "", err)
+
+
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

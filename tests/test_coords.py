@@ -3,10 +3,11 @@ import pytest
 
 from simplex_flows.coords import (MIN_PROB, EtaCoord, SimplexPoint,
                                   ThetaCoord, eta_from_theta, phi, probs_rows,
-                                  psi, row_max, row_min, simplex_from_eta,
-                                  simplex_from_theta, simplex_rows_ok,
-                                  softmax_rows, state_rows, theta_from_eta,
-                                  to_eta, to_theta, valid_rows)
+                                  psi, row_max, row_min, row_sum,
+                                  simplex_from_eta, simplex_from_theta,
+                                  simplex_rows_ok, softmax_rows, state_rows,
+                                  theta_from_eta, to_eta, to_theta,
+                                  valid_rows)
 from simplex_flows.rng import (make_rng, random_simplex_batch,
                                random_simplex_point)
 
@@ -144,6 +145,40 @@ def test_row_sums_stay_along_rows():
         x = rng.random((4096, cols))
         differ = x.sum(axis=1) != np.add.reduce(x.T.copy(), axis=0)
         assert differ.mean() > 0.2 if cols >= 8 else not differ.any()
+
+
+# +-0, +-inf, NaNs with payloads (quiet and signalling, both signs),
+# +-subnormal, +-max and +-1, by their bits
+_SPECIAL_BITS = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF8000000000123, 0xFFF8000000000456, 0x7FF0000000000001,
+    0xFFF4000000000789, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x3FF0000000000000,
+    0xBFF0000000000000], dtype=np.uint64).view(float)
+
+
+def test_row_sum_is_the_row_sum_bit_for_bit():
+    # tobytes: a zero's sign and a NaN's sign and payload count
+    rng = make_rng(34)
+    pairs = np.array([[a, b] for a in _SPECIAL_BITS for b in _SPECIAL_BITS])
+    assert np.isnan(pairs).any(axis=1).sum() == 16 * 16 - 10 * 10
+    sign = rng.choice([-1.0, 1.0], (20000, 2))
+    wide = sign * rng.random((20000, 2)) * 10.0 ** rng.integers(
+        -300, 301, (20000, 2))
+    with np.errstate(all="ignore"):
+        for x in (pairs, wide):
+            three = np.hstack([x, x[:, :1]])
+            for two in (x, np.asfortranarray(x), three[:, :2],
+                        np.roll(three, 1, axis=1)[:, 1:], x[:0], x[:1]):
+                assert (row_sum(two).tobytes()
+                        == two.sum(axis=1, keepdims=True).tobytes())
+        for cols in (1, 3, 8, 11):  # numpy's own row sum
+            x = np.resize(np.concatenate([_SPECIAL_BITS, wide.ravel()]),
+                          (4096, cols))
+            assert (row_sum(x).tobytes()
+                    == x.sum(axis=1, keepdims=True).tobytes())
+    assert row_sum(np.array([[-0.0, -0.0]]))[0, 0].hex() == "0x0.0p+0"
 
 
 def test_simplex_rows_ok_is_simplex_point_acceptance():

@@ -228,7 +228,7 @@ def test_invalid_initial_state_names_flow_and_rows():
     ([0.5, 0.5, 1e-301], "probabilities must be strictly positive "
      "(min entry 1e-301)"),
     ([0.25 + 2e-9, 0.25, 0.5], "probabilities must sum to 1, got "
-     "np.float64(1.000000002)")])
+     "1.000000002")])
 def test_bad_init_rows_name_the_flow_and_the_rows(bad_row, reason):
     # every failing row is named, with SimplexPoint's reason for the first
     q = random_simplex_point(make_rng(13), 2)

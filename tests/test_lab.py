@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplex_flows import descent, lab, spectral
+from simplex_flows import descent, geometry, lab, spectral
 from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
@@ -223,11 +224,21 @@ def _draw_near_former(q, p0, kl_max):
     raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
 
 
+def _draw_near_rows_former(q, p0_rows, kl_max):
+    """The sandwich's inits as they were: draw_near row by row in order."""
+    near = [_draw_near_former(q, SimplexPoint(row), kl_max) for row in p0_rows]
+    return (np.array([p.probs for p in near]),
+            np.array([kl(q, p) for p in near]))
+
+
 def _near_outcome(f, *args):
     try:
-        return f(*args).probs.tobytes()
+        got = f(*args)
     except (ValueError, ExperimentFailure) as exc:
         return f"{type(exc).__name__}: {exc}"
+    if isinstance(got, SimplexPoint):
+        return got.probs.tobytes()
+    return got[0].tobytes() + got[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 10])
@@ -240,15 +251,81 @@ def test_draw_near_equals_the_former_candidate_loop(n):
         low = p0.probs.copy()
         low[0] = np.spacing(q.probs[0]) / 4.0
         low[1:] *= (1.0 - low[0]) / low[1:].sum()
+        batch = random_simplex_batch(rng, n, 8)
         for p in (p0, SimplexPoint(low)):
             for kl_max in (lab.SANDWICH_KL_CAP, lab.NEAR_OPT_KL, 1e-9, -1.0):
                 got = _near_outcome(lab.draw_near, q, p, kl_max)
                 assert got == _near_outcome(_draw_near_former, q, p, kl_max)
                 outcomes.add(type(got))
+                rows = np.vstack([batch, p.probs])
+                got = _near_outcome(lab.draw_near_rows, q, rows, kl_max)
+                assert got == _near_outcome(_draw_near_rows_former, q, rows,
+                                            kl_max)
+                outcomes.add(type(got))
         assert _near_outcome(lab.draw_near, q, SimplexPoint(low), 1.0) == (
             "ValueError: probabilities must be strictly positive "
             "(min entry 0)")
     assert outcomes == {bytes, str}
+
+
+@pytest.mark.parametrize("row3, row5", [
+    ("zero", "far"), ("far", "zero"), ("low", "far"), ("far", "low"),
+    ("zero", "low"), ("low", "zero")])
+def test_draw_near_rows_raises_what_the_row_loop_raises_first(
+        monkeypatch, row3, row5):
+    # "zero": an input row with a 0 entry; "low": an entry below ulp(q_0),
+    # so the first candidate has a 0 entry; "far": a row that never reaches
+    # the cap, as each candidate at or above q_0 reads a KL of 1
+    rng = make_rng(35)
+    q = lab.draw_instance(rng, 3)
+    rows = random_simplex_batch(rng, 3, 8)
+    rows[:, 0] = q.probs[0] / 2.0  # the other rows start below q_0
+    rows[:, 1:] *= (1.0 - rows[:, :1]) / rows[:, 1:].sum(axis=1,
+                                                          keepdims=True)
+    kinds = {"zero": [0.0, 0.5, 0.25, 0.25],
+             "low": [np.spacing(q.probs[0]) / 4.0, 0.5, 0.25, 0.25],
+             "far": [min(1.0, 2.0 * q.probs[0]), 0.5, 0.25, 0.25]}
+    for i, kind in ((3, row3), (5, row5)):
+        row = np.array(kinds[kind])
+        row[1:] *= (1.0 - row[0]) / row[1:].sum()
+        rows[i] = row
+    real = lab.kl_probs
+
+    def capped(q_probs, p):
+        return 1.0 if p[0] >= q_probs[0] else real(q_probs, p)
+
+    monkeypatch.setattr(lab, "kl_probs", capped)
+    monkeypatch.setattr(geometry, "kl_probs", capped)  # the former's kl
+    want = _near_outcome(_draw_near_rows_former, q, rows, 0.1)
+    assert want == ("ExperimentFailure: could not shrink p0 into the "
+                    "near-optimum regime" if row3 == "far" else
+                    "ValueError: probabilities must be strictly positive "
+                    "(min entry 0)")
+    assert _near_outcome(lab.draw_near_rows, q, rows, 0.1) == want
+    # without rows 3 and 5 every row reaches the cap, as the former did
+    rest = np.delete(rows, [3, 5], axis=0)
+    got = _near_outcome(lab.draw_near_rows, q, rest, 0.1)
+    assert isinstance(got, bytes)
+    assert got == _near_outcome(_draw_near_rows_former, q, rest, 0.1)
+
+
+def test_natural_error_equals_the_former_3d_form():
+    rng = make_rng(36)
+    for n in (2, 10):
+        m, b = 40, 100
+        times = np.sort(rng.random(m)) * 5.0
+        inits = random_simplex_batch(rng, n, b)
+        eta_q = random_simplex_point(rng, n).probs[:-1]
+        states = rng.random((m, b, n))
+        offset = inits[None, :, :-1] - eta_q
+        want = np.exp(-times)[:, None, None] * offset
+        want += eta_q
+        want -= states
+        got = lab._natural_error(times, states,
+                                 (inits[:, :-1] - eta_q).ravel(),
+                                 np.tile(eta_q, b))
+        assert got.shape == (m, b * n)
+        assert got.tobytes() == np.abs(want).tobytes()
 
 
 def test_draw_instance_is_balanced():
@@ -980,6 +1057,16 @@ def _per_step_multiplicative(seeds, n, norm=0.9, steps=400):
             envelope_ok &= np.linalg.norm(e) <= norm ** (k + 1) + 1e-12
         final_norms.append(float(np.linalg.norm(e)))
     return final_norms, envelope_ok
+
+
+def test_a_vector_norm_is_the_root_of_its_dot():
+    # the perturbation study's envelope reads math.sqrt(e @ e), which is
+    # np.linalg.norm(e)'s own arithmetic: the same value, bit for bit
+    rng = make_rng(37)
+    for n in range(1, 11):
+        scale = 10.0 ** rng.integers(-150, 151, (200, 1))
+        for e in rng.standard_normal((200, n)) * scale:
+            assert math.sqrt(e @ e) == np.linalg.norm(e)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -36,6 +36,9 @@ EXTRAS = (
     + [(f"robustness_multiplicative_n5_s{s}",
         f"robustness --kind multiplicative --n 5 --seed {s}") for s in range(3)]
     + [(f"sandwich_n10_s{s}", f"sandwich --n 10 --seed {s}") for s in (1, 2)]
+    # with the workloads' README sandwich (seeds 7-16), seeds 0-19 at n = 2
+    + [(f"sandwich_n2_s{s}", f"sandwich --n 2 --seed {s}")
+       for s in (*range(7), 17, 18, 19)]
     + [("selftest", "selftest"), ("convert_eta", "convert --eta 0.2,0.3"),
        ("sections_underflow", "sections --n 2 --s-max 1000 --s-count 40001")])
 

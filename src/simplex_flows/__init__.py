@@ -14,7 +14,7 @@ from .coords import (EtaCoord, SimplexPoint, ThetaCoord, eta_from_theta,
                      theta_from_eta, to_eta, to_theta)
 from .descent import (DescentSpec, closed_loop, destabilizing_delta,
                       optimal_lr, run, step)
-from .empirical import Dataset, empirical_target, run_empirical
+from .empirical import run_empirical
 from .errors import (BoundaryEscape, ExperimentFailure, InsufficientDecay,
                      NonFinite, SimplexFlowsError, WitnessNotFound, ZeroCount)
 from .flows import (FlowSpec, Trajectory, integrate, integrate_batch,

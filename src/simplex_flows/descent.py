@@ -17,11 +17,11 @@ eta_q at step size alpha:
 Each method is an Euler step x <- x + alpha field along the L_q vector
 field of its chart (eta, theta and natural_eta): the geometry.field that
 the flows integrate, taken for (B, n) state rows by step_rows.  The one
-descent loop is the generator descend_rows: run (and through it the
-empirical module's run_empirical) and the learning-rate sweeps of the lab
-module drain it (a run is a batch of one row, a sweep steps all its rates
-in one batch with a column of step sizes, and in sgd mode draws each row's
-minibatch target every iteration).
+descent loop is the generator descend_rows: run (and through it
+empirical.run_empirical, run with the KL to the true q) and the
+learning-rate sweeps of the lab module drain it (a run is a batch of one
+row, a sweep steps all its rates in one batch with a column of step sizes,
+and in sgd mode draws each row's minibatch target every iteration).
 
 The linearized variant freezes the curvature at the optimum, so the error
 e = x - x* follows e(k+1) = (I - alpha Q) e(k) with Q the Hessian there,

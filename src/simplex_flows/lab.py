@@ -22,7 +22,7 @@ from .coords import (MIN_PROB, SimplexPoint, ThetaCoord, probs_rows, row_min,
                      to_theta, valid_rows)
 from .descent import (METHOD_CHARTS, METHODS, DescentSpec, closed_loop,
                       descend_rows, destabilizing_delta, optimal_lr, state_rows)
-from .empirical import Dataset, empirical_target, run_empirical
+from .empirical import run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
 from .flows import (DT, SAMPLE_EVERY, FlowSpec, check_settings, integrate,
@@ -544,6 +544,18 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
 # --- learning-rate sweeps ---------------------------------------------------
 
 
+def draw_dataset(rng, q: SimplexPoint, n_samples: int):
+    """Counts of n_samples i.i.d. draws from q and the empirical target
+    q_hat = counts / counts.sum(), which is interior only when every
+    outcome was seen: a dataset that missed one raises ZeroCount."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    counts = rng.multinomial(n_samples, q.probs)
+    if np.any(counts == 0):
+        raise ZeroCount("dataset missed an outcome; increase n_samples")
+    return counts, counts / counts.sum()
+
+
 def _batch_convergence_times(method, mode, counts, init_probs, lrs, idxs,
                              tolerance, max_iters, minibatch, decay_a, seed):
     """Worst convergence iteration (to the empirical target) over the
@@ -583,14 +595,14 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
              out_dir: Optional[str] = None) -> dict:
     """Worst-case convergence time to the empirical target per learning rate.
 
-    One dataset and one pool of initializations are drawn from the seed and
-    shared across the whole grid (and across methods given the same seed),
-    so times are comparable.  A rate's time saturates at max_iters when any
-    init fails to converge; a rate with an init that leaves the domain is
-    finished at max_iters then and there, and stops stepping and drawing.
-    The grid is split into worker_count() interleaved shares (rates w,
-    w + workers, ...), each stepped as one batch; the result does not
-    depend on the number of workers.
+    One dataset (draw_dataset) and one pool of initializations are drawn
+    from the seed and shared across the whole grid (and across methods
+    given the same seed), so times are comparable.  A rate's time saturates
+    at max_iters when any init fails to converge; a rate with an init that
+    leaves the domain is finished at max_iters then and there, and stops
+    stepping and drawing.  The grid is split into worker_count() interleaved
+    shares (rates w, w + workers, ...), each stepped as one batch; the
+    result does not depend on the number of workers.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -612,9 +624,7 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = make_rng(seed)
     q = draw_instance(rng, n)
-    counts = rng.multinomial(n_samples, q.probs)
-    if np.any(counts == 0):
-        raise ZeroCount("dataset missed an outcome; increase n_samples")
+    counts, _ = draw_dataset(rng, q, n_samples)
     inits = random_simplex_batch(rng, n, n_inits)
     workers = min(worker_count(), len(lr_grid))
     shares = [range(w, len(lr_grid), workers) for w in range(workers)]
@@ -662,14 +672,13 @@ def empirical_sandwich(n: int, seed: int, alpha: Optional[float] = None,
         alpha = 0.01 if n == 2 else 0.001
     rng = make_rng(seed)
     q = random_simplex_point(rng, n)
-    d = Dataset(rng.multinomial(n_samples, q.probs))
-    q_hat = empirical_target(d)
+    q_hat = SimplexPoint(draw_dataset(rng, q, n_samples)[1])
     p0 = random_simplex_point(rng, n)
     curves = {}
     for method in ("gd_eta", "ngd", "gd_theta"):
         spec = DescentSpec(method, "nonlinear", q_hat, p0, alpha,
                            max_iters=max_iters)
-        traj = run_empirical(spec, d, true_target=q)
+        traj = run_empirical(spec, q)
         curves[method] = traj.kl_values
     ks = np.arange(max_iters + 1)
     slack = 1e-12

@@ -15,7 +15,7 @@ import numpy as np
 
 from simplex_flows.coords import SimplexPoint
 from simplex_flows.descent import DescentSpec, run
-from simplex_flows.empirical import Dataset, empirical_target, run_empirical
+from simplex_flows.empirical import run_empirical
 
 SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -43,9 +43,9 @@ def test_every_traced_name_resolves():
 
 
 def test_iteration_hooks_read_times():
-    d = Dataset(np.array([30, 50, 20]))
-    spec = DescentSpec("ngd", "nonlinear", empirical_target(d),
+    q = SimplexPoint(np.array([0.3, 0.5, 0.2]))
+    spec = DescentSpec("ngd", "nonlinear", q,
                        SimplexPoint(np.array([0.2, 0.3, 0.5])), 0.5,
                        max_iters=4)
-    for traj in (run(spec), run_empirical(spec, d)):
+    for traj in (run(spec), run_empirical(spec, q)):
         assert len(traj.times) == 5

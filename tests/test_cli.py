@@ -84,6 +84,21 @@ def test_empirical_escape_names_method_iteration_and_step_size(capsys):
                    "(step size 0.01); reduce the step size\n")
 
 
+@pytest.mark.parametrize("n_samples", ["0", "-5"])
+def test_empirical_without_samples_is_a_usage_error(capsys, n_samples):
+    assert run_cli(capsys, "empirical", "--n-samples", n_samples) == (
+        2, "", f"error: n_samples must be at least 1, got {n_samples}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "empirical --n 10 --n-samples 5",
+    "sweep --method ngd --grid 0.5:0.5:1 --n 10 --n-samples 5 --minibatch 5"],
+    ids=["empirical", "sweep"])
+def test_a_dataset_that_missed_an_outcome_is_one_failure(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (
+        1, "", "failure: dataset missed an outcome; increase n_samples\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

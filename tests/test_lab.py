@@ -14,10 +14,9 @@ from simplex_flows import rng as rng_module
 from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
 from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
                                    step_rows, valid_rows)
-from simplex_flows.empirical import Dataset, empirical_target
 from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
                                   InsufficientDecay, NonFinite,
-                                  WitnessNotFound)
+                                  WitnessNotFound, ZeroCount)
 from simplex_flows.flows import Trajectory, integrate_batch, sample_times
 from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
                                     loss_Lstar_theta)
@@ -626,6 +625,28 @@ def test_lr_sweep_validation(monkeypatch):
             lab.lr_sweep(**args)
 
 
+@pytest.mark.parametrize("n_samples", [1000, 100000])
+def test_draw_dataset_is_one_multinomial_draw(n_samples):
+    q = SimplexPoint(np.array([0.1, 0.2, 0.3, 0.4]))
+    rng, ref = make_rng(4), make_rng(4)
+    counts, q_hat = lab.draw_dataset(rng, q, n_samples)
+    assert np.array_equal(counts, ref.multinomial(n_samples, q.probs))
+    # the generator is left where a bare draw leaves it
+    assert np.array_equal(rng.random(8), ref.random(8))
+    assert np.array_equal(q_hat, counts / n_samples)
+
+
+def test_draw_dataset_refuses_a_missed_outcome_and_no_samples():
+    q = SimplexPoint(np.array([0.96, 0.01, 0.01, 0.01, 0.01]))
+    with pytest.raises(ZeroCount,
+                       match="^dataset missed an outcome; increase n_samples$"):
+        lab.draw_dataset(make_rng(0), q, 5)
+    for bad in (0, -5):
+        with pytest.raises(ValueError,
+                           match=f"^n_samples must be at least 1, got {bad}$"):
+            lab.draw_dataset(make_rng(0), q, bad)
+
+
 def _one_rate_times(method, mode, counts, init_probs, lr, tolerance,
                     max_iters, minibatch, decay_a, sgd_seed):
     """The sweep's former kernel: one learning rate at a time, every row
@@ -678,8 +699,7 @@ SWEEP_TEST_TOL = {"full_batch": 1e-4, "sgd": 1e-2}
 def _sweep_instance(seed, n=4, n_samples=5000, n_inits=37):
     """The dataset and inits lr_sweep(seed, n, n_samples, n_inits) draws."""
     rng = make_rng(seed)
-    q = lab.draw_instance(rng, n)
-    counts = rng.multinomial(n_samples, q.probs)
+    counts, _ = lab.draw_dataset(rng, lab.draw_instance(rng, n), n_samples)
     return counts, random_simplex_batch(rng, n, n_inits)
 
 
@@ -732,7 +752,7 @@ def test_one_row_sweep_time_is_the_first_hit_of_a_single_run(method, mode):
     tol, max_iters, minibatch, decay_a = SWEEP_TEST_TOL[mode], 60, 200, 30.0
     for seed in range(20):
         counts, inits = _sweep_instance(seed, n_inits=3)
-        q_hat = empirical_target(Dataset(counts))
+        q_hat = SimplexPoint(counts / counts.sum())
         for i in range(3):
             idx = (seed + 2 * i) % len(grid)
             lr = grid[idx]

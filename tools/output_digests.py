@@ -40,7 +40,16 @@ EXTRAS = (
     + [(f"sandwich_n2_s{s}", f"sandwich --n 2 --seed {s}")
        for s in (*range(7), 17, 18, 19)]
     + [("selftest", "selftest"), ("convert_eta", "convert --eta 0.2,0.3"),
-       ("sections_underflow", "sections --n 2 --s-max 1000 --s-count 40001")])
+       ("sections_underflow", "sections --n 2 --s-max 1000 --s-count 40001")]
+    # dataset errors: a usage error (exit 2) and a missed outcome (exit 1)
+    + [("empirical_n_samples_0", "empirical --n-samples 0"),
+       ("empirical_n_samples_minus5", "empirical --n-samples -5"),
+       ("empirical_zero_count", "empirical --n 10 --n-samples 5"),
+       ("sweep_full_batch_zero_count",
+        "sweep --method ngd --grid 0.5:0.5:1 --n 10 --n-samples 5 "
+        "--minibatch 5"),
+       ("sweep_full_batch_n_samples_0",
+        "sweep --method ngd --grid 0.5:0.5:1 --n-samples 0 --minibatch 1")])
 
 
 def _sha(data: bytes) -> str:

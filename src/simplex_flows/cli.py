@@ -28,10 +28,6 @@ from .rng import make_rng, random_simplex_point
 from .spectral import eigh, solve_lyapunov
 
 
-class UsageError(Exception):
-    pass
-
-
 # value parsers for every key a config file or flag may set
 def _parse_grid(text):
     parts = text.split(":")
@@ -76,15 +72,15 @@ def load_config(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
             if key not in _KEY_TYPES:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = (lineno, _KEY_TYPES[key](val))
             except ValueError as exc:
-                raise UsageError(
+                raise ValueError(
                     f"{path}:{lineno}: malformed value for key {key!r}: {exc}"
                 ) from exc
     return values
@@ -97,7 +93,7 @@ def _resolve(args, defaults):
     if args.config:
         for key, (lineno, val) in load_config(args.config).items():
             if key not in defaults:
-                raise UsageError(f"{args.config}:{lineno}: config key {key!r} "
+                raise ValueError(f"{args.config}:{lineno}: config key {key!r} "
                                  f"does not apply to {args.command!r}")
             settings[key] = val
     for key in defaults:
@@ -153,7 +149,7 @@ def _cmd_affine(s):
 
 def _cmd_sweep(s):
     if s["grid"] is None:
-        raise UsageError("sweep requires --grid lo:hi:count")
+        raise ValueError("sweep requires --grid lo:hi:count")
     summary = lab.lr_sweep(s["method"], s["grid"], s["inits"], s["tol"],
                            s["seed"], mode=s["mode"], n=s["n"],
                            n_samples=s["n_samples"], minibatch=s["minibatch"],
@@ -212,7 +208,7 @@ def _cmd_sections(s):
 def _cmd_convert(s):
     given = [x for x in (s["theta"], s["eta"], s["p"]) if x is not None]
     if len(given) != 1:
-        raise UsageError("convert needs exactly one of --theta, --eta, --p")
+        raise ValueError("convert needs exactly one of --theta, --eta, --p")
     if s["theta"] is not None:
         point = simplex_from_theta(ThetaCoord(np.array(_parse_floats(s["theta"]))))
     elif s["eta"] is not None:
@@ -227,7 +223,7 @@ def _cmd_convert(s):
 
 def _cmd_kl(s):
     if s["q"] is None or s["p"] is None:
-        raise UsageError("kl needs --q and --p")
+        raise ValueError("kl needs --q and --p")
     value = kl(_probs_arg(s["q"]), _probs_arg(s["p"]))
     _print_kv("kl", value)
     return 0
@@ -235,10 +231,10 @@ def _cmd_kl(s):
 
 def _cmd_fit_rate(s):
     if s["file"] is None:
-        raise UsageError("fit-rate needs --file with columns t,kl")
+        raise ValueError("fit-rate needs --file with columns t,kl")
     data = np.loadtxt(s["file"], delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
-        raise UsageError("fit-rate file must have two columns: t,kl")
+        raise ValueError("fit-rate file must have two columns: t,kl")
     traj = Trajectory(data[:, 0], data[:, 0][:, None], data[:, 1])
     fit = lab.fit_rate(traj)
     _print_kv("slope", fit.slope)
@@ -358,7 +354,7 @@ def main(argv=None) -> int:
     runner, defaults = _COMMANDS[args.command]
     try:
         return runner(_resolve(args, defaults))
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimplexFlowsError as exc:

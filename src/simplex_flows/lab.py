@@ -25,8 +25,8 @@ from .descent import (METHOD_CHARTS, METHODS, DescentSpec, closed_loop,
 from .empirical import run_empirical
 from .errors import (ExperimentFailure, InsufficientDecay, WitnessNotFound,
                      ZeroCount)
-from .flows import (DT, SAMPLE_EVERY, FlowSpec, check_settings, integrate,
-                    integrate_blocks, sample_times)
+from .flows import (DT, SAMPLE_EVERY, check_settings, integrate_blocks,
+                    sample_times)
 from .geometry import (curvature, kl, kl_probs, kl_rows, loss_rows,
                        make_identity_chart)
 from .rng import (DRAW_BLOCK, first_simplex_point, make_rng, normal_matrix,
@@ -91,30 +91,23 @@ def _round9(obj):
     return obj
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt9(v) for v in row) + "\n")
-
-
-def write_json(path, summary):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round9(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(out_dir, stem, summary, header=None, rows=()):
     """Write <stem>.csv (when a header is given) and <stem>.json, the summary
     without its rows and private keys, into out_dir; no-op without one."""
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, stem)
     if header is not None:
-        write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
-    write_json(os.path.join(out_dir, f"{stem}.json"),
-               {k: v for k, v in summary.items()
-                if k != "rows" and not k.startswith("_")})
+        with open(path + ".csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt9(v) for v in row) + "\n")
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(_round9({k: v for k, v in summary.items()
+                           if k != "rows" and not k.startswith("_")}),
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def worker_count() -> int:
@@ -247,6 +240,24 @@ def _horizon(kl0, rate, dt):
     return t_end, max(dt, t_end / 20000.0)
 
 
+def _fit_chart(chart, q, inits, t_end, dt, sample_every=SAMPLE_EVERY,
+               affine=None, each_block=None):
+    """fit_rates of the L_q flow in chart from each (B, n+1) row of inits:
+    integrate_blocks' KLs fill one (K, B) array as they come, and
+    each_block(times, states), when given, sees each block's states before
+    they are dropped, so no (K, B, n) array is held."""
+    times = sample_times(t_end, dt, sample_every)
+    kls = np.empty((times.size, len(inits)))
+    j = 0
+    for block_times, states, block_kls in integrate_blocks(
+            "Lq", chart, q, inits, t_end, dt, sample_every, affine):
+        kls[j:j + block_times.size] = block_kls
+        j += block_times.size
+        if each_block is not None:
+            each_block(block_times, states)
+    return fit_rates(times, kls)
+
+
 # ---------------------------------------------------------------------------
 # rate bounds over sublevel sets
 
@@ -303,49 +314,30 @@ def rate_bounds(loss: str, q: SimplexPoint, p0: SimplexPoint, seed: int = 0,
 # experiments
 
 
-def draw_near(q: SimplexPoint, p0: SimplexPoint,
-              kl_max: float = NEAR_OPT_KL) -> SimplexPoint:
-    """Shrink p0 toward q along the mixture line until kl(q||p0) <= kl_max."""
-    return SimplexPoint(draw_near_rows(q, p0.probs[None], kl_max)[0][0])
-
-
 def draw_near_rows(q: SimplexPoint, p0_rows: np.ndarray,
                    kl_max: float = NEAR_OPT_KL):
-    """draw_near of each (B, n+1) row at once: (rows, kls), the shrunk rows
-    and their kl(q||row).  The rows shrink together, level k at the scale
-    s *= 0.7 repeated k times; candidates pass simplex_rows_ok and their KL
-    is kl_probs.  Raises what draw_near row by row raises first: the lowest
-    row decides, whether its input or a candidate is not a probability
-    vector or it does not reach kl_max in 200 levels."""
+    """Pull each (B, n+1) row p0 toward q: (rows, kls), each row's first
+    candidate q + s (p0 - q), s = 0.7^k for k = 0, ..., 199, that passes
+    simplex_rows_ok with kl_probs(q, candidate) <= kl_max, and its KL.  The
+    inputs are checked first: the first row that is not a probability vector
+    raises SimplexPoint's reason; a row never within kl_max ExperimentFailure."""
     p0_rows = np.asarray(p0_rows, dtype=float)
+    for row in p0_rows[~simplex_rows_ok(p0_rows)][:1]:
+        SimplexPoint(row)  # raises its reason
     rows, kls = np.empty_like(p0_rows), np.empty(len(p0_rows))
     d = p0_rows - q.probs
-    bad = np.flatnonzero(~simplex_rows_ok(p0_rows))
-    # the lowest failing row, and the row SimplexPoint rejects for it (None:
-    # its shrink ran out); only the rows below it still shrink
-    first, reject = (bad[0], p0_rows[bad[0]]) if bad.size else (len(d), None)
-    todo, s = np.arange(first), 1.0
+    todo, s = np.arange(len(d)), 1.0
     for _ in range(200):
         cand = q.probs + s * d[todo]
-        ok = simplex_rows_ok(cand)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            first, reject, todo, cand = todo[k], cand[k], todo[:k], cand[:k]
-        kl_cand = np.array([kl_probs(q.probs, row) for row in cand])
+        kl_cand = np.array([kl_probs(q.probs, row) if ok else np.inf
+                            for row, ok in zip(cand, simplex_rows_ok(cand))])
         near = kl_cand <= kl_max
         rows[todo[near]], kls[todo[near]] = cand[near], kl_cand[near]
         todo = todo[~near]
         if not todo.size:
-            break
+            return rows, kls
         s *= 0.7
-    else:
-        first, reject = todo[0], None
-    if first < len(d):
-        if reject is None:
-            raise ExperimentFailure(
-                "could not shrink p0 into the near-optimum regime")
-        SimplexPoint(reject)  # raises its reason: simplex_rows_ok failed it
-    return rows, kls
+    raise ExperimentFailure("could not shrink p0 into the near-optimum regime")
 
 
 def draw_instance(rng, n: int) -> SimplexPoint:
@@ -381,11 +373,11 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     mid-transient when the fast eta flow is already at the KL floor, and
     the fits pick up the drifting transient slope.)
 
-    Each chart's samples stream from integrate_blocks and are reduced as
-    they come: the KLs go into a (K, B) array, fitted by fit_rates when the
-    chart's stream ends and then dropped, and the natural-flow check into a
-    running maximum, so at most one chart's (K, B) KLs are held at a time,
-    never its (K, B, n) states.  The returned summary carries _target,
+    Each chart is fitted by _fit_chart, which streams its samples from
+    integrate_blocks into a (K, B) KL array and fit_rates; the natural-flow
+    check reduces each block's states to a running maximum as they come.
+    So at most one chart's (K, B) KLs are held at a time, never its
+    (K, B, n) states.  The returned summary carries _target,
     _inits and _grids[chart] = (t_end, dt) of each chart's integration.
     """
     if n < 2:
@@ -406,30 +398,21 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
     eta_q = q.probs[:-1]
     offset = (inits[:, :-1] - eta_q).ravel()
     eta_q_rows = np.tile(eta_q, n_inits)
-    fits, grids, natural_exact_err = [], {}, 0.0
+    fits, grids, natural_err = [], {}, np.zeros(())
+
+    def natural_check(times, states):  # a running max: no block is kept
+        np.maximum(natural_err, _natural_error(
+            times, states, offset, eta_q_rows).max(), out=natural_err)
+
     for chart in ("eta", "natural_eta", "theta"):
         # the max-KL init sets the auto horizon
         t_chart, dt_chart = grids[chart] = (
             (t_end, dt) if t_end is not None
             else _horizon(kl0_max, rate_est[chart], dt))
-        times = sample_times(t_chart, dt_chart, sample_every)
-        kls = np.empty((times.size, n_inits))
-        j = 0
-        for block_times, states, block_kls in integrate_blocks(
-                "Lq", chart, q, inits, t_chart, dt=dt_chart,
-                sample_every=sample_every):
-            m = j + block_times.size
-            kls[j:m] = block_kls
-            if chart == "natural_eta":  # no block's deviations are kept
-                dev_max = _natural_error(block_times, states, offset,
-                                         eta_q_rows).max()
-                natural_exact_err = np.maximum(natural_exact_err, dev_max)
-            j = m
-        # rates and R^2 per init; then the chart's KLs and last block go,
-        # before the next chart allocates its own
-        fits.append(fit_rates(times, kls))
-        kls = states = block_kls = None
-    natural_exact_err = float(natural_exact_err)
+        # rates and R^2 per init; the chart's KLs go before the next chart's
+        fits.append(_fit_chart(
+            chart, q, inits, t_chart, dt_chart, sample_every,
+            each_block=natural_check if chart == "natural_eta" else None))
 
     # rates and R^2 per chart (eta, natural_eta, theta) of the fitted inits
     fitted = np.all([f[4] == "" for f in fits], axis=0)
@@ -456,9 +439,9 @@ def sandwich_experiment(n: int, n_inits: int, seed: int,
             "ordering_theta_lt_2_lt_eta": bool(ok_order),
             "natural_rate_in_band": bool(ok_band),
             "r_squared_min": bool(ok_r2),
-            "natural_matches_exact_1e-8": bool(natural_exact_err < 1e-8),
+            "natural_matches_exact_1e-8": bool(natural_err < 1e-8),
         },
-        "natural_exact_max_err": natural_exact_err,
+        "natural_exact_max_err": float(natural_err),
         "rows": [list(r) for r in rows],
     }
     _emit(out_dir, f"sandwich_n{n}", summary,
@@ -485,8 +468,9 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
                            out_dir: Optional[str] = None) -> dict:
     """Fitted rates in conditioning-equalized affine charts vs 2c and 2/c.
 
-    The claim is local, so p0 is pulled toward q until kl(q||p0) <= 0.05
-    before integrating.
+    The claim is local, so p0 is pulled toward q by draw_near_rows until
+    kl(q||p0) <= NEAR_OPT_KL; each (c, base chart) is fitted by _fit_chart
+    from that start, on the horizon _horizon sizes from its predicted rate.
     """
     if not len(c_values):
         raise ValueError("c_values is empty: no chart to check")
@@ -494,40 +478,38 @@ def affine_rate_experiment(c_values: Sequence[float], q: SimplexPoint,
         if not 0 < c < np.inf:
             raise ValueError(f"every c must be finite and positive, got {c}")
     check_settings(dt, SAMPLE_EVERY)
-    p_near = draw_near(q, p0)
-    hq_eta = curvature("eta", q)
-    hq_theta = curvature("theta", q)
+    near, kl0 = draw_near_rows(q, p0.probs[None])
+    curvatures = {base: curvature(base, q) for base in ("eta", "theta")}
 
     rows, ok_rates, hess_dev = [], True, 0.0
     for c in c_values:
         chart = make_identity_chart(to_theta(q), c)
-        for base, h, identity in (("eta", hq_eta, c * np.eye(q.n)),
-                                  ("theta", hq_theta, np.eye(q.n) / c)):
+        rates, r2s = [c], []
+        # base chart's Hessian at q is scale * I, its flow's rate 2 scale
+        for base, scale in (("eta", c), ("theta", 1.0 / c)):
             m = chart.base_map(base)[0]
-            hess_dev = max(hess_dev,
-                           float(np.abs(m @ h @ m.T - identity).max()))
-        kl0 = kl(q, p_near)
-        fits = []
-        for chart_kind, expected in (("affine_eta", 2.0 * c),
-                                     ("affine_theta", 2.0 / c)):
+            hess_dev = max(hess_dev, float(np.abs(
+                m @ curvatures[base] @ m.T - scale * np.eye(q.n)).max()))
+            expected = 2.0 * scale
             try:
-                t_end, dt_chart = _horizon(kl0, expected, dt)
-                fit = fit_rate(integrate(
-                    FlowSpec("Lq", chart_kind, q, p_near, chart), t_end,
-                    dt=dt_chart))
+                rate, _, r2, _, reason = _fit_chart(
+                    "affine_" + base, q, near,
+                    *_horizon(kl0[0], expected, dt), affine=chart)
+                if reason[0]:
+                    raise InsufficientDecay(reason[0])
             except InsufficientDecay as exc:
-                raise InsufficientDecay(f"c = {c:g}, {chart_kind}: {exc}") from exc
-            fits.append((fit.slope, fit.r_squared))
-            ok_rates &= abs(fit.slope - expected) <= AFFINE_RTOL * expected
-        (r_eta, r2_eta), (r_theta, r2_theta) = fits
-        rows.append((c, r_eta, 2.0 * c, r_theta, 2.0 / c, r2_eta, r2_theta))
+                raise InsufficientDecay(f"c = {c:g}, affine_{base}: {exc}") from exc
+            rates += [float(rate[0]), expected]
+            r2s.append(float(r2[0]))
+            ok_rates &= abs(rate[0] - expected) <= AFFINE_RTOL * expected
+        rows.append((*rates, *r2s))
 
     summary = {
         "experiment": "affine",
         "config": {"c_values": list(map(float, c_values)), "dt": dt,
                    "sample_every": SAMPLE_EVERY, "rtol": AFFINE_RTOL},
         "target": q.probs.tolist(),
-        "init": p_near.probs.tolist(),
+        "init": near[0].tolist(),
         "assertions": {
             "rates_within_rtol": bool(ok_rates),
             "hessians_identity_1e-10": bool(hess_dev < 1e-10),
@@ -615,6 +597,8 @@ def lr_sweep(method: str, lr_grid: Sequence[float], n_inits: int,
         raise ValueError(f"n_inits must be at least 1, got {n_inits}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not 1 <= minibatch <= n_samples:
         raise ValueError(f"minibatch must be in 1..n_samples ({n_samples}), "
                          f"got {minibatch}")

@@ -90,6 +90,12 @@ def test_empirical_without_samples_is_a_usage_error(capsys, n_samples):
         2, "", f"error: n_samples must be at least 1, got {n_samples}\n")
 
 
+def test_sweep_without_samples_names_n_samples_before_minibatch(capsys):
+    assert run_cli(capsys, "sweep", "--method", "ngd", "--grid", "0.5:0.5:1",
+                   "--n-samples", "0", "--minibatch", "1") == (
+        2, "", "error: n_samples must be at least 1, got 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     "empirical --n 10 --n-samples 5",
     "sweep --method ngd --grid 0.5:0.5:1 --n 10 --n-samples 5 --minibatch 5"],

@@ -11,15 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from simplex_flows import descent, geometry, lab, spectral
 from simplex_flows import rng as rng_module
-from simplex_flows.coords import SimplexPoint, ThetaCoord, to_eta
+from simplex_flows.coords import (SimplexPoint, ThetaCoord,
+                                  simplex_rows_ok, to_eta, to_theta)
 from simplex_flows.descent import (DescentSpec, probs_rows, run, state_rows,
                                    step_rows, valid_rows)
 from simplex_flows.errors import (BoundaryEscape, ExperimentFailure,
                                   InsufficientDecay, NonFinite,
                                   WitnessNotFound, ZeroCount)
-from simplex_flows.flows import Trajectory, integrate_batch, sample_times
+from simplex_flows.flows import (FlowSpec, Trajectory, integrate,
+                                 integrate_batch, sample_times)
 from simplex_flows.geometry import (hess_phi, kl, kl_rows, loss_Lq_theta,
-                                    loss_Lstar_theta)
+                                    loss_Lstar_theta, make_identity_chart)
 from simplex_flows.rng import (make_rng, normal_matrix, normal_vector,
                                random_simplex_batch, random_simplex_point)
 from simplex_flows.spectral import eigh
@@ -36,12 +38,15 @@ def test_write_csv_and_json_are_deterministic(tmp_path):
     rows = [(1, 0.1234567891234, 2.0), (2, 5e-9, 1.0 / 7.0)]
     summary = {"b": [0.12345678912, True], "a": {"x": 3}}
     for tag in ("one", "two"):
-        lab.write_csv(tmp_path / f"{tag}.csv", ["i", "x", "y"], rows)
-        lab.write_json(tmp_path / f"{tag}.json", summary)
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
-    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-    loaded = json.loads((tmp_path / "one.json").read_text())
-    assert loaded["a"]["x"] == 3
+        lab._emit(tmp_path / tag, "out", dict(summary, rows=rows, _private=1),
+                  ["i", "x", "y"], rows)
+    for ext in ("csv", "json"):
+        assert ((tmp_path / "one" / f"out.{ext}").read_bytes()
+                == (tmp_path / "two" / f"out.{ext}").read_bytes())
+    assert (tmp_path / "one" / "out.csv").read_text() == (
+        "i,x,y\n1,0.123456789,2\n2,5e-09,0.142857143\n")
+    loaded = json.loads((tmp_path / "one" / "out.json").read_text())
+    assert loaded == {"a": {"x": 3}, "b": [0.123456789, True]}
 
 
 def test_worker_count_env(monkeypatch):
@@ -207,8 +212,9 @@ def test_draw_near_caps_initial_kl():
     rng = make_rng(0)
     q = random_simplex_point(rng, 5)
     p0 = random_simplex_point(rng, 5)
-    near = lab.draw_near(q, p0, kl_max=0.02)
-    assert kl(q, near) <= 0.02
+    rows, kls = lab.draw_near_rows(q, p0.probs[None], kl_max=0.02)
+    assert rows.shape == (1, 6) and kls.shape == (1,)
+    assert kls[0] == kl(q, SimplexPoint(rows[0])) <= 0.02
 
 
 def _draw_near_former(q, p0, kl_max):
@@ -232,12 +238,18 @@ def _draw_near_rows_former(q, p0_rows, kl_max):
 
 def _near_outcome(f, *args):
     try:
-        got = f(*args)
+        rows, kls = f(*args)
     except (ValueError, ExperimentFailure) as exc:
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(got, SimplexPoint):
-        return got.probs.tobytes()
-    return got[0].tobytes() + got[1].tobytes()
+    return rows.tobytes() + kls.tobytes()
+
+
+def _low_start(q, p0):
+    """p0 with its first entry below ulp(q_0): q + (p0 - q) rounds it to 0."""
+    low = p0.probs.copy()
+    low[0] = np.spacing(q.probs[0]) / 4.0
+    low[1:] *= (1.0 - low[0]) / low[1:].sum()
+    return SimplexPoint(low)
 
 
 @pytest.mark.parametrize("n", [2, 10])
@@ -246,24 +258,31 @@ def test_draw_near_equals_the_former_candidate_loop(n):
     for seed in range(20):
         rng = make_rng([32, seed])
         q, p0 = lab.draw_instance(rng, n), random_simplex_point(rng, n)
-        # p0's first entry below ulp(q_0): q + (p0 - q) rounds it to 0
-        low = p0.probs.copy()
-        low[0] = np.spacing(q.probs[0]) / 4.0
-        low[1:] *= (1.0 - low[0]) / low[1:].sum()
+        low = _low_start(q, p0)
         batch = random_simplex_batch(rng, n, 8)
-        for p in (p0, SimplexPoint(low)):
-            for kl_max in (lab.SANDWICH_KL_CAP, lab.NEAR_OPT_KL, 1e-9, -1.0):
-                got = _near_outcome(lab.draw_near, q, p, kl_max)
-                assert got == _near_outcome(_draw_near_former, q, p, kl_max)
-                outcomes.add(type(got))
-                rows = np.vstack([batch, p.probs])
+        for kl_max in (lab.SANDWICH_KL_CAP, lab.NEAR_OPT_KL, 1e-9, -1.0):
+            # every start the former loop accepts or exhausts: the same bits
+            for rows in (p0.probs[None], np.vstack([batch, p0.probs])):
                 got = _near_outcome(lab.draw_near_rows, q, rows, kl_max)
                 assert got == _near_outcome(_draw_near_rows_former, q, rows,
                                             kl_max)
                 outcomes.add(type(got))
-        assert _near_outcome(lab.draw_near, q, SimplexPoint(low), 1.0) == (
-            "ValueError: probabilities must be strictly positive "
-            "(min entry 0)")
+            # the former loop raised at the low start's first candidate; it
+            # now shrinks past it to a probability vector within the cap
+            assert _near_outcome(_draw_near_former, q, low, kl_max) == (
+                "ValueError: probabilities must be strictly positive "
+                "(min entry 0)")
+            if kl_max < 0:
+                with pytest.raises(ExperimentFailure):
+                    lab.draw_near_rows(q, np.vstack([batch, low.probs]),
+                                       kl_max)
+                continue
+            rows, kls = lab.draw_near_rows(q, np.vstack([batch, low.probs]),
+                                           kl_max)
+            assert simplex_rows_ok(rows[-1:]).all()
+            assert kls[-1] == kl(q, SimplexPoint(rows[-1])) <= kl_max
+            assert (rows[:-1].tobytes() + kls[:-1].tobytes()
+                    == _near_outcome(_draw_near_rows_former, q, batch, kl_max))
     assert outcomes == {bytes, str}
 
 
@@ -272,6 +291,7 @@ def test_draw_near_equals_the_former_candidate_loop(n):
     ("zero", "low"), ("low", "zero")])
 def test_draw_near_rows_raises_what_the_row_loop_raises_first(
         monkeypatch, row3, row5):
+    # the inputs are checked first, then the rows shrink as one loop.
     # "zero": an input row with a 0 entry; "low": an entry below ulp(q_0),
     # so the first candidate has a 0 entry; "far": a row that never reaches
     # the cap, as each candidate at or above q_0 reads a KL of 1
@@ -288,24 +308,31 @@ def test_draw_near_rows_raises_what_the_row_loop_raises_first(
         row = np.array(kinds[kind])
         row[1:] *= (1.0 - row[0]) / row[1:].sum()
         rows[i] = row
-    real = lab.kl_probs
+    real, calls = lab.kl_probs, []
 
     def capped(q_probs, p):
+        calls.append(p)
         return 1.0 if p[0] >= q_probs[0] else real(q_probs, p)
 
     monkeypatch.setattr(lab, "kl_probs", capped)
     monkeypatch.setattr(geometry, "kl_probs", capped)  # the former's kl
-    want = _near_outcome(_draw_near_rows_former, q, rows, 0.1)
-    assert want == ("ExperimentFailure: could not shrink p0 into the "
-                    "near-optimum regime" if row3 == "far" else
-                    "ValueError: probabilities must be strictly positive "
-                    "(min entry 0)")
+    # a "zero" row raises its reason before any shrinking, wherever it
+    # sits; else the "far" row is out of reach, and the "low" row shrinks
+    want = ("ValueError: probabilities must be strictly positive "
+            "(min entry 0)" if "zero" in (row3, row5) else
+            "ExperimentFailure: could not shrink p0 into the near-optimum "
+            "regime")
     assert _near_outcome(lab.draw_near_rows, q, rows, 0.1) == want
-    # without rows 3 and 5 every row reaches the cap, as the former did
-    rest = np.delete(rows, [3, 5], axis=0)
-    got = _near_outcome(lab.draw_near_rows, q, rest, 0.1)
-    assert isinstance(got, bytes)
-    assert got == _near_outcome(_draw_near_rows_former, q, rest, 0.1)
+    assert bool(calls) == ("zero" not in (row3, row5))
+    # without the "zero" and "far" rows every row reaches the cap: the
+    # others as the former did, the "low" row past its zero candidate
+    low = [i for i, kind in ((3, row3), (5, row5)) if kind == "low"]
+    keep = [i for i in range(len(rows)) if i not in (3, 5) or i in low]
+    got, kls = lab.draw_near_rows(q, rows[keep], 0.1)
+    assert simplex_rows_ok(got).all() and np.all(kls <= 0.1)
+    others = [k for k, i in enumerate(keep) if i not in low]
+    assert (got[others].tobytes() + kls[others].tobytes() == _near_outcome(
+        _draw_near_rows_former, q, np.delete(rows, [3, 5], axis=0), 0.1))
 
 
 def test_natural_error_equals_the_former_3d_form():
@@ -339,7 +366,7 @@ def test_draw_near_out_of_reach_is_an_experiment_failure():
     q = random_simplex_point(rng, 3)
     p0 = random_simplex_point(rng, 3)
     with pytest.raises(ExperimentFailure, match="could not shrink p0"):
-        lab.draw_near(q, p0, kl_max=-1.0)
+        lab.draw_near_rows(q, p0.probs[None], kl_max=-1.0)
 
 
 def test_unbalanced_draws_are_an_experiment_failure(lopsided_draws):
@@ -415,6 +442,54 @@ def test_affine_init_at_the_target_is_insufficient_decay():
             "c = 1, affine_eta: initial KL 0 is not above 20x KL_FLOOR "
             "(2e-12)")):
         lab.affine_rate_experiment([1.0], q, q)
+
+
+def _affine_fit_former(q, p0, c, base):
+    """An affine fit as it was: draw_near, then integrate and fit_rate of
+    one Trajectory: (rate, R^2), or the error text."""
+    p_near = _draw_near_former(q, p0, lab.NEAR_OPT_KL)
+    expected = 2.0 * c if base == "eta" else 2.0 / c
+    try:
+        t_end, dt = lab._horizon(kl(q, p_near), expected, lab.DT)
+        fit = lab.fit_rate(integrate(
+            FlowSpec("Lq", "affine_" + base, q, p_near,
+                     make_identity_chart(to_theta(q), c)), t_end, dt=dt))
+    except InsufficientDecay as exc:
+        return f"c = {c:g}, affine_{base}: {exc}"
+    return fit.slope, fit.r_squared
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_affine_fits_equal_the_former_integrate_path(n):
+    c_values = [0.5, 1.0, 2.0]
+    for seed in range(5):
+        rng = make_rng(seed)  # the affine command's draws
+        q, p0 = random_simplex_point(rng, n), random_simplex_point(rng, n)
+        want = [(_affine_fit_former(q, p0, c, "eta"),
+                 _affine_fit_former(q, p0, c, "theta")) for c in c_values]
+        try:
+            rows = lab.affine_rate_experiment(c_values, q, p0)["rows"]
+        except InsufficientDecay as exc:
+            first = next(w for pair in want for w in pair
+                         if isinstance(w, str))
+            assert str(exc) == first
+            continue
+        got = [((r_eta, r2_eta), (r_theta, r2_theta))
+               for _, r_eta, _, r_theta, _, r2_eta, r2_theta in rows]
+        assert got == want
+
+
+def test_affine_start_near_a_face_is_pulled_past_its_zero_candidate():
+    # q = (0.1885, 0.3306, 0.4809), p0 = (6.9e-18, 0.2446, 0.7554): the
+    # first candidate q + (p0 - q) rounds p0's first entry to 0
+    rng = make_rng([32, 0])
+    q = lab.draw_instance(rng, 2)
+    p0 = _low_start(q, random_simplex_point(rng, 2))
+    assert p0.probs[0] < np.spacing(q.probs[0])
+    summary = lab.affine_rate_experiment([0.5, 1.0, 2.0], q, p0)
+    assert all(summary["assertions"].values())
+    init = SimplexPoint(summary["init"])
+    assert kl(q, init) <= lab.NEAR_OPT_KL
 
 
 def test_rate_bounds_reported_sides_stable_under_refinement(monkeypatch):
